@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the core primitives: closed-form
-// distance statistics, Eq. 7 comparison probabilities, candidate-set
-// maintenance, pair-pool construction, grid prediction, and one greedy
+// distance statistics, Eq. 7 comparison probabilities, the greedy
+// selection loop, pair-pool construction, grid prediction, and one greedy
 // assignment round. These quantify the per-operation costs behind the
 // figure-level benches.
 
@@ -11,7 +11,6 @@
 
 #include "common/rng.h"
 #include "core/budget.h"
-#include "core/candidate_set.h"
 #include "core/comparators.h"
 #include "core/greedy.h"
 #include "core/valid_pairs.h"
@@ -88,19 +87,39 @@ void BM_ProbQualityGreater(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbQualityGreater);
 
-void BM_CandidateSetBuild(benchmark::State& state) {
+// One full greedy selection loop (skyline walk + Eq. 10 per iteration)
+// over n random pairs on n/8 workers and tasks — eight candidate pairs
+// per worker, as in the paper's dense regime. The budget is ample, so the
+// loop runs until every reachable endpoint is used.
+void BM_GreedySelect(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int m = n / 8;
   Rng rng(11);
-  const PairPool pool = RandomPool(&rng, static_cast<int>(state.range(0)));
+  PairPoolBuilder builder(static_cast<size_t>(m), static_cast<size_t>(m));
+  for (int i = 0; i < n; ++i) {
+    CandidatePair p = RandomPair(&rng);
+    p.worker_index = i % m;
+    p.task_index = static_cast<int32_t>(rng.UniformInt(0, m - 1));
+    builder.Add(p);
+  }
+  const PairPool pool = std::move(builder).Build();
+  std::vector<int32_t> ids(pool.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
   for (auto _ : state) {
-    CandidateSet set(pool);
-    for (int32_t id = 0; id < static_cast<int32_t>(pool.size()); ++id) {
-      set.Offer(id);
-    }
-    benchmark::DoNotOptimize(set.size());
+    std::vector<char> worker_used(static_cast<size_t>(m), 0);
+    std::vector<char> task_used(static_cast<size_t>(m), 0);
+    BudgetTracker budget(1e9, 0.5);
+    std::vector<int32_t> selected;
+    GreedySelect(pool, ids, &worker_used, &task_used, &budget, &selected);
+    benchmark::DoNotOptimize(selected.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_CandidateSetBuild)->Arg(100)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_GreedySelect)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 ProblemInstance BenchInstance(int n, const RangeQualityModel* quality,
                               std::vector<Worker>* workers,

@@ -46,17 +46,18 @@ bool Dominates(const CandidatePair& a, const CandidatePair& b);
 bool ProbabilisticallyDominates(const PairRef& a, const PairRef& b);
 bool ProbabilisticallyDominates(const CandidatePair& a, const CandidatePair& b);
 
-/// The pruning predicate the candidate set actually uses: Lemma 4.2
-/// strengthened to *weak* dominance — `a` prunes `b` when a is at least
-/// as good on both dimensions (Pr >= 0.5) and strictly better on one, or
-/// when the two pairs have identical cost/quality moments (duplicates).
+/// The pruning predicate of S_p: Lemma 4.2 strengthened to *weak*
+/// dominance — `a` prunes `b` when a is at least as good on both
+/// dimensions (Pr >= 0.5) and strictly better on one, or when the two
+/// pairs have identical cost/quality moments (duplicates).
 ///
 /// Rationale (DESIGN.md §3.8): pairs of two predicted entities all share
 /// the *same* Case-3 quality distribution, so the strict lemma never
 /// prunes them against each other and S_p grows quadratically. Weak
 /// dominance is selection-equivalent for Eq. 10 (equal-quality terms
 /// contribute identical factors; the cheaper candidate is preferred by
-/// the tie-break) and restores near-linear candidate-set maintenance.
+/// the tie-break). Since Lemma 4.1 bound dominance implies it, S_p is
+/// the mean-space Pareto skyline that core/greedy.h walks.
 bool WeaklyDominatesForPruning(const PairRef& a, const PairRef& b);
 bool WeaklyDominatesForPruning(const CandidatePair& a, const CandidatePair& b);
 

@@ -10,7 +10,7 @@ namespace mqa {
 
 int32_t SelectBestPair(const PairPool& pool,
                        const std::vector<int32_t>& candidate_ids,
-                       const BudgetTracker& budget) {
+                       const BudgetTracker& budget, bool* eq10_capped) {
   // Eq. 9 budget filter.
   std::vector<int32_t> admissible;
   admissible.reserve(candidate_ids.size());
@@ -40,6 +40,7 @@ int32_t SelectBestPair(const PairPool& pool,
           return a < b;
         });
     admissible.resize(kMaxEq10Candidates);
+    if (eq10_capped != nullptr) *eq10_capped = true;
   }
 
   // Eq. 10 in log space: log Pr_q,max = sum_log Pr{q_i > q_other}.

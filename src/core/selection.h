@@ -19,9 +19,12 @@ namespace mqa {
 ///   3. ties break toward the lower expected traveling cost, then the
 ///      lower pair id (determinism).
 /// Returns the chosen pair id, or -1 when no candidate is admissible.
+/// `eq10_capped` (optional) is set to true when step 2 ran over only the
+/// kMaxEq10Candidates strongest admissible pairs.
 int32_t SelectBestPair(const PairPool& pool,
                        const std::vector<int32_t>& candidate_ids,
-                       const BudgetTracker& budget);
+                       const BudgetTracker& budget,
+                       bool* eq10_capped = nullptr);
 
 }  // namespace mqa
 
