@@ -66,8 +66,6 @@ struct CliOptions {
   bool rejoin = false;
   bool csv = false;
   bool pairpool_stats = false;
-  bool delta_pool = false;
-  bool repair = false;
   bool phase_timing = false;
   bool perf_counters = false;
   double watchdog_seconds = 0.0;  // 0 = off
@@ -76,6 +74,8 @@ struct CliOptions {
   std::string record_trace;     // write the workload as mqa-trace-v1
   std::string replay_trace;     // replace generation with a loaded trace
   std::string trace_format = "csv";  // csv | binary (for --record-trace)
+  bool trace_format_given = false;
+  const char* stream_only_flag = nullptr;  // first one given, if any
   std::string trace_file;       // Chrome trace-event JSON (Perfetto)
   std::string metrics_file;     // metrics-registry JSON export
   std::string run_report_file;  // unified run-report JSON artifact
@@ -172,13 +172,8 @@ void PrintUsage() {
       "  --replay-trace=FILE (replace workload generation with a recorded\n"
       "      trace; replays byte-identically through batch and stream —\n"
       "      see src/trace/README.md and docs/TESTING.md)\n"
-      "  --delta-pool (delta-maintain the pair pool across epochs:\n"
-      "      per-epoch build cost O(churn), byte-identical assignments)\n"
-      "  --repair (re-solve only the churn-reachable subgraph each epoch;\n"
-      "      results-changing latency/quality tradeoff)\n"
       "  --pairpool-stats (per-epoch pair-pool columns: pair count,\n"
-      "      bytes/pair, arena slabs, lazily-skipped sampling fraction,\n"
-      "      churn ratio, delta-reuse fraction)\n"
+      "      bytes/pair, arena slabs, lazily-skipped sampling fraction)\n"
       "  --phase-timing (per-epoch phase wall-time CSV columns)\n"
       "  --trace=FILE (Chrome trace-event JSON of the epoch lifecycle,\n"
       "      loadable in Perfetto; see docs/OBSERVABILITY.md)\n"
@@ -203,17 +198,14 @@ void PrintUsage() {
 void PrintPoolStatsHeader() {
   std::printf("\npair-pool per epoch (columnar, arena-backed; see "
               "src/core/README.md):\n");
-  std::printf("%5s %12s %8s %7s %13s %10s %7s %7s %6s\n", "epoch", "pairs",
-              "B/pair", "slabs", "arena_peak_B", "lazy_skip", "churn",
-              "reuse", "delta");
+  std::printf("%5s %12s %8s %7s %13s %10s\n", "epoch", "pairs", "B/pair",
+              "slabs", "arena_peak_B", "lazy_skip");
 }
 
 // CSV mode appends these as extra columns on the per-epoch rows instead
 // of a second table, keeping the output machine-parseable.
 void PrintPoolStatsCsvColumns() {
-  std::printf(",pool_pairs,pool_bytes,pool_arena_slabs,pool_lazy_skipped"
-              ",churn_ratio,pool_delta_reuse,pool_delta_applied"
-              ",pool_rows_reused,pool_rows_rebuilt");
+  std::printf(",pool_pairs,pool_bytes,pool_arena_slabs,pool_lazy_skipped");
 }
 
 void PrintPoolStatsCsvValues(const InstanceMetrics& m) {
@@ -221,10 +213,6 @@ void PrintPoolStatsCsvValues(const InstanceMetrics& m) {
               static_cast<long long>(m.pool_bytes),
               static_cast<long long>(m.pool_arena_slabs),
               m.pool_lazy_skipped_fraction);
-  std::printf(",%.4f,%.4f,%d,%lld,%lld", m.churn_ratio,
-              m.pool_delta_reuse_fraction, m.pool_delta_applied ? 1 : 0,
-              static_cast<long long>(m.pool_rows_reused),
-              static_cast<long long>(m.pool_rows_rebuilt));
 }
 
 // Per-epoch phase wall-time breakdown (--phase-timing). Timing fields are
@@ -252,14 +240,12 @@ void PrintPoolStatsRow(const InstanceMetrics& m) {
           ? static_cast<double>(m.pool_bytes) /
                 static_cast<double>(m.pool_pairs)
           : 0.0;
-  std::printf("%5lld %12lld %8.1f %7lld %13lld %9.1f%% %6.1f%% %6.1f%% %6s\n",
+  std::printf("%5lld %12lld %8.1f %7lld %13lld %9.1f%%\n",
               static_cast<long long>(m.instance),
               static_cast<long long>(m.pool_pairs), bytes_per_pair,
               static_cast<long long>(m.pool_arena_slabs),
               static_cast<long long>(m.pool_arena_peak_bytes),
-              100.0 * m.pool_lazy_skipped_fraction, 100.0 * m.churn_ratio,
-              100.0 * m.pool_delta_reuse_fraction,
-              m.pool_delta_applied ? "yes" : "no");
+              100.0 * m.pool_lazy_skipped_fraction);
 }
 
 SpatialDistribution ParseDist(const std::string& s) {
@@ -352,6 +338,16 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     std::string sval;
+    // Flags that only mean something in a mode the run may not be in;
+    // checked after parsing so they fail loudly instead of being ignored.
+    for (const char* name : {"--epoch-policy", "--epoch-interval",
+                             "--epoch-k", "--backlog-threshold",
+                             "--max-interval"}) {
+      if (opt.stream_only_flag == nullptr && ParseFlag(a, name, &sval)) {
+        opt.stream_only_flag = name;
+      }
+    }
+    if (ParseFlag(a, "--trace-format", &sval)) opt.trace_format_given = true;
     if (ParseFlag(a, "--workload", &opt.workload) ||
         ParseFlag(a, "--scenario", &opt.scenario) ||
         ParseFlag(a, "--algo", &opt.algo) ||
@@ -405,10 +401,6 @@ int main(int argc, char** argv) {
       opt.csv = true;
     } else if (std::strcmp(a, "--pairpool-stats") == 0) {
       opt.pairpool_stats = true;
-    } else if (std::strcmp(a, "--delta-pool") == 0) {
-      opt.delta_pool = true;
-    } else if (std::strcmp(a, "--repair") == 0) {
-      opt.repair = true;
     } else if (std::strcmp(a, "--phase-timing") == 0) {
       opt.phase_timing = true;
     } else if (std::strcmp(a, "--perf-counters") == 0) {
@@ -421,6 +413,14 @@ int main(int argc, char** argv) {
       PrintUsage();
       return 2;
     }
+  }
+  if (opt.stream_only_flag != nullptr && !opt.stream) {
+    std::fprintf(stderr, "%s requires --stream\n", opt.stream_only_flag);
+    return 2;
+  }
+  if (opt.trace_format_given && opt.record_trace.empty()) {
+    std::fprintf(stderr, "--trace-format requires --record-trace\n");
+    return 2;
   }
 
   // Tracing/metrics must be live before the simulators run; the trusted
@@ -488,8 +488,6 @@ int main(int argc, char** argv) {
     report.SetConfig("seed", static_cast<int64_t>(opt.seed));
     report.SetConfig("threads", static_cast<int64_t>(opt.threads));
     report.SetConfig("perf_counters", opt.perf_counters);
-    report.SetConfig("delta_pool", opt.delta_pool);
-    report.SetConfig("repair", opt.repair);
   }
 
   ScenarioKind scenario_kind = ScenarioKind::kPaper;
@@ -632,15 +630,10 @@ int main(int argc, char** argv) {
   // and --index only change wall-clock time.
   config.num_threads = opt.threads;
   config.index_backend = index_backend;
-  // Delta pool maintenance never changes assignments; repair does (both
-  // documented in sim/simulator_config.h).
-  config.incremental_pool = opt.delta_pool;
-  config.repair = opt.repair;
 
   AssignerOptions assigner_options;
   assigner_options.seed = opt.seed;
   assigner_options.index_backend = index_backend;
-  assigner_options.repair = opt.repair;
   auto assigner = CreateAssigner(kind, assigner_options);
 
   if (opt.stream) {

@@ -35,10 +35,6 @@ HEADLINE_GAUGES = (
     ("mqa.slo.window.p99_latency_seconds", "slo p99 s"),
     ("mqa.slo.window.overrun_ratio", "slo overrun ratio"),
     ("mqa.slo.breaches_active", "slo breaches active"),
-    # Incremental epoch pipeline (recorded per epoch as histograms; the
-    # p50 of the run-so-far distribution is the steady-state view).
-    ('mqa.epoch.churn_ratio{quantile="0.5"}', "epoch churn p50"),
-    ('mqa.pool.delta.reuse_fraction{quantile="0.5"}', "pool reuse p50"),
 )
 
 

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
-#include <utility>
+#include <numeric>
 
 #include "common/logging.h"
 #include "core/comparators.h"
-#include "core/repair.h"
 #include "core/selection.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -181,7 +179,7 @@ AssignmentResult EmitCurrentPairs(const ProblemInstance& instance,
 }
 
 AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
-                           const PairPoolOptions& pool_options, bool repair) {
+                           const PairPoolOptions& pool_options) {
   PairPoolOptions options = pool_options;
   options.include_predicted = true;
   const PairPool pool = BuildPairPool(instance, options);
@@ -189,15 +187,8 @@ AssignmentResult RunGreedy(const ProblemInstance& instance, double delta,
   std::vector<char> task_used(instance.tasks().size(), 0);
   BudgetTracker budget(instance.budget(), delta);
 
-  std::vector<int32_t> ids;
-  std::optional<std::vector<int32_t>> scope;
-  if (repair) scope = ComputeRepairPairIds(instance, pool);
-  if (scope.has_value()) {
-    ids = std::move(*scope);
-  } else {
-    ids.resize(pool.size());
-    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
-  }
+  std::vector<int32_t> ids(pool.size());
+  std::iota(ids.begin(), ids.end(), 0);
 
   std::vector<int32_t> selected;
   GreedySelect(pool, ids, &worker_used, &task_used, &budget, &selected);

@@ -13,7 +13,6 @@ namespace mqa {
 
 class PairArena;
 struct PairPoolStats;
-class PoolDeltaCache;
 class QualityModel;
 class SpatialIndex;
 class ThreadPool;
@@ -66,15 +65,6 @@ class ProblemInstance {
   const SpatialIndex* task_index() const { return task_index_; }
   void set_task_index(const SpatialIndex* index) { task_index_ = index; }
 
-  /// Optional spatial index over workers(), the mirror of task_index()
-  /// for task-centric candidate-worker queries: entry ids are indices
-  /// into workers(), and entries carry each worker's *velocity* as the
-  /// QueryReachable bound (see src/index/worker_index_cache.h for the
-  /// query convention). Non-owning; the streaming simulator points this
-  /// at its incrementally maintained WorkerIndexCache.
-  const SpatialIndex* worker_index() const { return worker_index_; }
-  void set_worker_index(const SpatialIndex* index) { worker_index_ = index; }
-
   /// Optional thread pool the assigner may fan work across (sharded pair
   /// generation, divide-and-conquer subproblems); nullptr — the default —
   /// selects the sequential code paths. Non-owning, must outlive the
@@ -102,16 +92,6 @@ class ProblemInstance {
   /// per-epoch metrics.
   PairPoolStats* pool_stats() const { return pool_stats_; }
   void set_pool_stats(PairPoolStats* stats) { pool_stats_ = stats; }
-
-  /// Optional cross-epoch pair-pool delta cache (see core/pool_delta.h).
-  /// When set, BuildPairPool commits each epoch's current-current rows
-  /// into it and — when the cache's apply gate and ordering checks allow
-  /// — replays unchanged rows instead of re-scanning them; the repair
-  /// solve mode reads its churn plan. Non-owning; EpochRunner owns the
-  /// cache and calls BeginEpoch before handing out the instance. Null
-  /// (the default) keeps every build from-scratch.
-  PoolDeltaCache* pool_delta() const { return pool_delta_; }
-  void set_pool_delta(PoolDeltaCache* cache) { pool_delta_ = cache; }
 
   /// Unit price C per distance unit (paper Section II-C).
   double unit_price() const { return unit_price_; }
@@ -144,11 +124,9 @@ class ProblemInstance {
   size_t num_current_tasks_ = 0;
   const QualityModel* quality_ = nullptr;
   const SpatialIndex* task_index_ = nullptr;
-  const SpatialIndex* worker_index_ = nullptr;
   ThreadPool* thread_pool_ = nullptr;
   PairArena* pair_arena_ = nullptr;
   PairPoolStats* pool_stats_ = nullptr;
-  PoolDeltaCache* pool_delta_ = nullptr;
   double unit_price_ = 1.0;
   double budget_ = 0.0;
 };

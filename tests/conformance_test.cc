@@ -1,6 +1,6 @@
 // Differential conformance harness: every recorded trace in the corpus
 // (tests/data/*.trace.csv) is swept across algorithms x index backends x
-// thread counts x {batch, stream, delta-pool}, and the three determinism
+// thread counts x {batch, stream}, and the three determinism
 // contracts are asserted via the per-epoch assignment checksums:
 //
 //   1. backend-equivalence   — brute/grid/rtree produce identical bits;
@@ -64,12 +64,10 @@ const RangeQualityModel& Quality() {
 struct Variant {
   IndexBackend backend;
   int threads;
-  bool delta_pool;
 
   std::string Name() const {
     std::string name = IndexBackendToString(backend);
     name += "_t" + std::to_string(threads);
-    if (delta_pool) name += "_delta";
     return name;
   }
 };
@@ -80,9 +78,7 @@ std::vector<Variant> SweepVariants() {
        {IndexBackend::kBruteForce, IndexBackend::kGrid,
         IndexBackend::kRTree}) {
     for (const int threads : {1, 4}) {
-      for (const bool delta : {false, true}) {
-        variants.push_back({backend, threads, delta});
-      }
+      variants.push_back({backend, threads});
     }
   }
   return variants;
@@ -92,7 +88,6 @@ SimulatorConfig VariantConfig(const Variant& v) {
   SimulatorConfig config = PropertySimConfig();
   config.num_threads = v.threads;
   config.index_backend = v.backend;
-  config.incremental_pool = v.delta_pool;
   return config;
 }
 
@@ -160,8 +155,8 @@ TEST_P(ConformanceTest, AllContractsHoldAcrossTheSweep) {
        {AssignerKind::kGreedy, AssignerKind::kDivideConquer,
         AssignerKind::kRandom}) {
     SCOPED_TRACE(AssignerKindToString(kind));
-    // The reference run: batch, brute force, single thread, no delta.
-    const Variant reference{IndexBackend::kBruteForce, 1, false};
+    // The reference run: batch, brute force, single thread.
+    const Variant reference{IndexBackend::kBruteForce, 1};
     const std::vector<uint64_t> expected_batch =
         RunBatch(bucketed, kind, reference);
     ASSERT_FALSE(expected_batch.empty());
@@ -171,8 +166,7 @@ TEST_P(ConformanceTest, AllContractsHoldAcrossTheSweep) {
 
     for (const Variant& v : SweepVariants()) {
       SCOPED_TRACE(v.Name());
-      // Contracts 1, 2 (+ the delta-pool guarantee): batch bits never
-      // depend on backend, threads, or incremental pool maintenance.
+      // Contracts 1, 2: batch bits never depend on backend or threads.
       EXPECT_EQ(RunBatch(bucketed, kind, v), expected_batch);
       // Contract 3: streaming the bucketed arrivals under the
       // per-instance policy reproduces the batch run byte-for-byte.
@@ -206,7 +200,7 @@ std::string GoldenBlock(const std::string& name) {
   if (!loaded.ok()) return "";
   const TraceData& trace = loaded.value();
   const ArrivalStream bucketed = trace.ToArrivalStream();
-  const Variant canonical{IndexBackend::kGrid, 1, false};
+  const Variant canonical{IndexBackend::kGrid, 1};
 
   std::ostringstream out;
   for (const AssignerKind kind :
