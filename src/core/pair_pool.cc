@@ -1,5 +1,6 @@
 #include "core/pair_pool.h"
 
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -351,6 +352,16 @@ PairPoolBuilder::PairPoolBuilder(size_t num_workers, size_t num_tasks,
                                  size_t num_current_tasks, size_t num_pairs,
                                  PairArena* arena, bool lazy_stats)
     : lazy_stats_(lazy_stats) {
+  // Pair ids, CSR offsets and entity indices are int32; past that width
+  // BuildCsr's casts would wrap silently. Checked before any allocation.
+  constexpr size_t kMaxId =
+      static_cast<size_t>(std::numeric_limits<int32_t>::max());
+  MQA_CHECK(num_pairs <= kMaxId)
+      << num_pairs << " pairs exceed the int32 pair-id range";
+  MQA_CHECK(num_workers <= kMaxId)
+      << num_workers << " workers exceed the int32 index range";
+  MQA_CHECK(num_tasks <= kMaxId)
+      << num_tasks << " tasks exceed the int32 index range";
   pool_.num_workers_ = num_workers;
   pool_.num_tasks_ = num_tasks;
   pool_.num_current_workers_ = num_current_workers;

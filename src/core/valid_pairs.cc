@@ -57,22 +57,38 @@ void CollectCandidates(const ProblemInstance& instance,
   });
 }
 
+/// The per-box half of the cost (Eqs. 2-5) for every candidate task, read
+/// by every worker's fill row. Computed once per build on the sequential
+/// spine; build scratch in the arena, never part of the pool.
+const BoxMoments* ComputeTaskMoments(const ProblemInstance& instance,
+                                     size_t num_tasks, PairArena* arena) {
+  BoxMoments* moments = arena->AllocateArray<BoxMoments>(num_tasks);
+  for (size_t j = 0; j < num_tasks; ++j) {
+    moments[j] = ComputeBoxMoments(instance.tasks()[j].location);
+  }
+  return moments;
+}
+
 /// Pass 2: fills column slot `at` for worker `i` and candidate `c`. The
-/// cost moments are computed here (same closed-form calls, same order as
-/// the eager builder); quality is the fixed score for current-current
-/// pairs and a lazy-table kind tag otherwise — the expensive Cases 1-3
-/// statistics are *not* computed at build time. Pure given (instance, c)
-/// — byte-identical regardless of the thread (or order) it runs on.
+/// cost is the per-pair half of Eqs. 2-5 over worker `i`'s moments `wm`
+/// and the task's row of `task_moments` — bit-identical to computing the
+/// moments here. Quality is the fixed score for current-current pairs and
+/// a lazy-table kind tag otherwise — the expensive Cases 1-3 statistics
+/// are *not* computed at build time. Pure given (instance, c) —
+/// byte-identical regardless of the thread (or order) it runs on.
 void FillPairSlot(const ProblemInstance& instance, PairPoolBuilder* builder,
-                  size_t at, size_t i, const Candidate& c) {
+                  size_t at, size_t i, const BoxMoments& wm,
+                  const BoxMoments* task_moments, const Candidate& c) {
   const Worker& w = instance.workers()[i];
-  const Task& t = instance.tasks()[static_cast<size_t>(c.task)];
+  const size_t j = static_cast<size_t>(c.task);
+  const Task& t = instance.tasks()[j];
 
   builder->worker_col()[at] = static_cast<int32_t>(i);
   builder->task_col()[at] = c.task;
 
-  const Uncertain cost = DistanceBetween(w.location, t.location)
-                             .AffineTransform(instance.unit_price(), 0.0);
+  const Uncertain cost =
+      DistanceBetween(w.location, wm, t.location, task_moments[j])
+          .AffineTransform(instance.unit_price(), 0.0);
   builder->cost_mean_col()[at] = cost.mean();
   builder->cost_var_col()[at] = cost.variance();
   builder->cost_lb_col()[at] = cost.lb();
@@ -115,7 +131,8 @@ PairPool BuildPairPoolSharded(const ProblemInstance& instance,
                               const PairPoolOptions& options,
                               const SpatialIndex* prebuilt, size_t num_workers,
                               size_t num_tasks, double max_deadline,
-                              bool has_predicted, ThreadPool* pool,
+                              bool has_predicted,
+                              const BoxMoments* task_moments, ThreadPool* pool,
                               PairArena* arena) {
   const QualityModel& model = *instance.quality_model();
   const ShardingPlan plan =
@@ -185,8 +202,10 @@ PairPool BuildPairPoolSharded(const ProblemInstance& instance,
       const size_t i = static_cast<size_t>(wi);
       size_t at = offsets[i];
       const WorkerCandidates& wc = candidates[i];
+      const BoxMoments wm = ComputeBoxMoments(instance.workers()[i].location);
       for (size_t k = 0; k < wc.count; ++k) {
-        FillPairSlot(instance, &builder, at++, i, wc.data[k]);
+        FillPairSlot(instance, &builder, at++, i, wm, task_moments,
+                     wc.data[k]);
       }
     });
   }
@@ -198,6 +217,7 @@ PairPool BuildPairPoolSequential(const ProblemInstance& instance,
                                  const SpatialIndex* prebuilt,
                                  size_t num_workers, size_t num_tasks,
                                  double max_deadline, bool has_predicted,
+                                 const BoxMoments* task_moments,
                                  PairArena* arena) {
   const QualityModel& model = *instance.quality_model();
 
@@ -240,8 +260,9 @@ PairPool BuildPairPoolSequential(const ProblemInstance& instance,
   {
     MQA_TRACE_SPAN("pool/fill");
     for (size_t i = 0; i < num_workers; ++i) {
+      const BoxMoments wm = ComputeBoxMoments(instance.workers()[i].location);
       for (size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-        FillPairSlot(instance, &builder, k, i, buffer[k]);
+        FillPairSlot(instance, &builder, k, i, wm, task_moments, buffer[k]);
       }
     }
   }
@@ -300,15 +321,17 @@ PairPool BuildPairPool(const ProblemInstance& instance,
                                 : instance.thread_pool();
   const auto t_build = std::chrono::steady_clock::now();
   MQA_TRACE_SPAN("pool/build");
+  const BoxMoments* task_moments =
+      ComputeTaskMoments(instance, num_tasks, arena);
   PairPool pool =
       (thread_pool != nullptr && thread_pool->num_threads() > 1 &&
        num_workers >= kMinShardableWorkers)
           ? BuildPairPoolSharded(instance, options, prebuilt, num_workers,
                                  num_tasks, max_deadline, has_predicted,
-                                 thread_pool, arena)
+                                 task_moments, thread_pool, arena)
           : BuildPairPoolSequential(instance, options, prebuilt, num_workers,
                                     num_tasks, max_deadline, has_predicted,
-                                    arena);
+                                    task_moments, arena);
   pool.set_build_seconds(std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t_build)
                              .count());

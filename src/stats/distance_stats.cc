@@ -9,10 +9,7 @@ namespace mqa {
 
 namespace {
 
-// Raw moments E(X), E(X^2), E(X^3), E(X^4) of one uniform coordinate.
-struct AxisMoments {
-  double m1, m2, m3, m4;
-};
+using AxisMoments = BoxMoments::Axis;
 
 AxisMoments MomentsOf(double lb, double ub) {
   return {UniformRawMoment(lb, ub, 1), UniformRawMoment(lb, ub, 2),
@@ -36,17 +33,16 @@ double AxisFourthMoment(const AxisMoments& w, const AxisMoments& t) {
 
 }  // namespace
 
-SquaredDistanceMoments ComputeSquaredDistanceMoments(const BBox& w,
-                                                     const BBox& t) {
-  const AxisMoments wx = MomentsOf(w.lo().x, w.hi().x);
-  const AxisMoments wy = MomentsOf(w.lo().y, w.hi().y);
-  const AxisMoments tx = MomentsOf(t.lo().x, t.hi().x);
-  const AxisMoments ty = MomentsOf(t.lo().y, t.hi().y);
+BoxMoments ComputeBoxMoments(const BBox& box) {
+  return {MomentsOf(box.lo().x, box.hi().x), MomentsOf(box.lo().y, box.hi().y)};
+}
 
-  const double e_z1_sq = AxisSecondMoment(wx, tx);
-  const double e_z2_sq = AxisSecondMoment(wy, ty);
-  const double e_z1_4 = AxisFourthMoment(wx, tx);
-  const double e_z2_4 = AxisFourthMoment(wy, ty);
+SquaredDistanceMoments ComputeSquaredDistanceMoments(const BoxMoments& w,
+                                                     const BoxMoments& t) {
+  const double e_z1_sq = AxisSecondMoment(w.x, t.x);
+  const double e_z2_sq = AxisSecondMoment(w.y, t.y);
+  const double e_z1_4 = AxisFourthMoment(w.x, t.x);
+  const double e_z2_4 = AxisFourthMoment(w.y, t.y);
 
   SquaredDistanceMoments out;
   // Eq. (2): E(Z^2) = E(Z_1^2) + E(Z_2^2).
@@ -58,11 +54,18 @@ SquaredDistanceMoments ComputeSquaredDistanceMoments(const BBox& w,
   return out;
 }
 
-Uncertain DistanceBetween(const BBox& w, const BBox& t) {
+SquaredDistanceMoments ComputeSquaredDistanceMoments(const BBox& w,
+                                                     const BBox& t) {
+  return ComputeSquaredDistanceMoments(ComputeBoxMoments(w),
+                                       ComputeBoxMoments(t));
+}
+
+Uncertain DistanceBetween(const BBox& w, const BoxMoments& wm, const BBox& t,
+                          const BoxMoments& tm) {
   if (w.IsPoint() && t.IsPoint()) {
     return Uncertain::Fixed(Distance(w.lo(), t.lo()));
   }
-  const SquaredDistanceMoments sq = ComputeSquaredDistanceMoments(w, t);
+  const SquaredDistanceMoments sq = ComputeSquaredDistanceMoments(wm, tm);
   const double lb = w.MinDistance(t);
   const double ub = w.MaxDistance(t);
 
@@ -76,6 +79,13 @@ Uncertain DistanceBetween(const BBox& w, const BBox& t) {
   const double half_range = 0.5 * (ub - lb);
   var = std::min(var, half_range * half_range);
   return Uncertain(mean, var, lb, ub);
+}
+
+Uncertain DistanceBetween(const BBox& w, const BBox& t) {
+  if (w.IsPoint() && t.IsPoint()) {
+    return Uncertain::Fixed(Distance(w.lo(), t.lo()));
+  }
+  return DistanceBetween(w, ComputeBoxMoments(w), t, ComputeBoxMoments(t));
 }
 
 }  // namespace mqa

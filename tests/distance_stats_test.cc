@@ -1,6 +1,8 @@
 #include "stats/distance_stats.h"
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -116,6 +118,94 @@ TEST(DistanceStatsTest, AnalyticUnitSquareMean) {
   const BBox u({0.0, 0.0}, {1.0, 1.0});
   const auto m = ComputeSquaredDistanceMoments(u, u);
   EXPECT_NEAR(m.mean, 1.0 / 3.0, 1e-12);
+}
+
+// One random endpoint box: a point, a full box, a box degenerate on one
+// axis only, or a kernel box centered near the border so KernelBox clips
+// it to [0,1]^2.
+BBox RandomEndpointBox(Rng* rng) {
+  const double x = rng->Uniform(), y = rng->Uniform();
+  const double w = rng->Uniform(0.0, 0.3), h = rng->Uniform(0.0, 0.3);
+  switch (rng->UniformInt(0, 4)) {
+    case 0:
+      return BBox::FromPoint({x, y});
+    case 1:
+      return BBox({x, y}, {x + w, y + h});
+    case 2:
+      return BBox({x, y}, {x, y + h});
+    case 3:
+      return BBox({x, y}, {x + w, y});
+    default:
+      return BBox::KernelBox({rng->Bernoulli(0.5) ? x * 0.1 : 1.0 - x * 0.1,
+                              rng->Uniform()},
+                             w, h);
+  }
+}
+
+// A partner for `w`: independent, identical, touching along x, or
+// overlapping it.
+BBox RandomPartnerBox(const BBox& w, Rng* rng) {
+  switch (rng->UniformInt(0, 3)) {
+    case 0:
+      return w;
+    case 1: {
+      const double touch_x = w.hi().x;
+      const double y = rng->Uniform(w.lo().y - 0.1, w.hi().y);
+      return BBox({touch_x, y},
+                  {touch_x + rng->Uniform(0.0, 0.2),
+                   y + rng->Uniform(0.0, 0.2)});
+    }
+    case 2: {
+      const double dx = rng->Uniform(0.0, 1.0) * w.WidthX();
+      const double dy = rng->Uniform(0.0, 1.0) * w.WidthY();
+      return BBox({w.lo().x + dx, w.lo().y + dy},
+                  {w.hi().x + dx, w.hi().y + dy});
+    }
+    default:
+      return RandomEndpointBox(rng);
+  }
+}
+
+template <typename T>
+bool SameBits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+TEST(DistanceStatsTest, HoistedMomentsAreBitIdentical) {
+  // The pool build computes each box's moment table once and reuses it
+  // across pairs; that must not change a single bit of any pair's cost.
+  Rng rng(20170419);
+  int points = 0, mixed = 0, boxes = 0;
+  for (int n = 0; n < 20000; ++n) {
+    BBox w = RandomEndpointBox(&rng);
+    BBox t = RandomPartnerBox(w, &rng);
+    if (rng.Bernoulli(0.5)) std::swap(w, t);
+    points += w.IsPoint() && t.IsPoint();
+    mixed += w.IsPoint() != t.IsPoint();
+    boxes += !w.IsPoint() && !t.IsPoint();
+
+    const BoxMoments wm = ComputeBoxMoments(w);
+    const BoxMoments tm = ComputeBoxMoments(t);
+
+    const SquaredDistanceMoments sq_two = ComputeSquaredDistanceMoments(w, t);
+    const SquaredDistanceMoments sq_hoisted =
+        ComputeSquaredDistanceMoments(wm, tm);
+    ASSERT_TRUE(SameBits(sq_two.mean, sq_hoisted.mean)) << w << " " << t;
+    ASSERT_TRUE(SameBits(sq_two.variance, sq_hoisted.variance))
+        << w << " " << t;
+
+    const Uncertain d_two = DistanceBetween(w, t);
+    const Uncertain d_hoisted = DistanceBetween(w, wm, t, tm);
+    ASSERT_TRUE(SameBits(d_two.mean(), d_hoisted.mean())) << w << " " << t;
+    ASSERT_TRUE(SameBits(d_two.variance(), d_hoisted.variance()))
+        << w << " " << t;
+    ASSERT_TRUE(SameBits(d_two.lb(), d_hoisted.lb())) << w << " " << t;
+    ASSERT_TRUE(SameBits(d_two.ub(), d_hoisted.ub())) << w << " " << t;
+  }
+  // The sweep reached every endpoint combination.
+  EXPECT_GT(points, 100);
+  EXPECT_GT(mixed, 1000);
+  EXPECT_GT(boxes, 1000);
 }
 
 }  // namespace

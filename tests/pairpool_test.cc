@@ -372,5 +372,16 @@ TEST(PairPoolTest, HandBuiltPoolRoundTrips) {
   EXPECT_DOUBLE_EQ(thinned.mean(), 1.5 * 0.75);
 }
 
+// Pair ids and CSR offsets are int32: a pool one past that range must
+// fail loudly in the builder, before AllocateColumns asks for ~120 GB.
+TEST(PairPoolDeathTest, PairCountPastInt32Aborts) {
+  const size_t num_pairs = size_t{1} << 31;
+  EXPECT_DEATH(PairPoolBuilder(/*num_workers=*/1, /*num_tasks=*/1,
+                               /*num_current_workers=*/1,
+                               /*num_current_tasks=*/1, num_pairs,
+                               /*arena=*/nullptr, /*lazy_stats=*/false),
+               "int32 pair-id range");
+}
+
 }  // namespace
 }  // namespace mqa
