@@ -18,17 +18,18 @@ BudgetTracker::BudgetTracker(double budget, double delta)
   MQA_CHECK(delta >= 0.0 && delta < 1.0) << "delta must lie in [0, 1)";
 }
 
-bool BudgetTracker::QuickRejectCost(double cost_lb,
-                                    bool involves_predicted) const {
-  const double spent = involves_predicted ? future_lb_spent_ : current_spent_;
-  return cost_lb > budget_ - spent + kEps;
+bool BudgetTracker::QuickReject(const PairRef& pair) const {
+  const double spent =
+      pair.involves_predicted() ? future_lb_spent_ : current_spent_;
+  return pair.cost_lb() > budget_ - spent + kEps;
 }
 
-bool BudgetTracker::AdmitsCost(double cost_mean, double cost_variance,
-                               bool involves_predicted) const {
-  if (!involves_predicted) {
+bool BudgetTracker::Admits(const PairRef& pair) const {
+  const double cost_mean = pair.cost_mean();
+  if (!pair.involves_predicted()) {
     return current_spent_ + cost_mean <= budget_ + kEps;
   }
+  const double cost_variance = pair.cost_variance();
   const double headroom = budget_ - future_lb_spent_;
   if (cost_variance <= 0.0) {
     return cost_mean <= headroom + kEps;
@@ -39,12 +40,11 @@ bool BudgetTracker::AdmitsCost(double cost_mean, double cost_variance,
   return pr > delta_;
 }
 
-void BudgetTracker::CommitCost(double cost_mean, double cost_lb,
-                               bool involves_predicted) {
-  if (!involves_predicted) {
-    current_spent_ += cost_mean;
+void BudgetTracker::Commit(const PairRef& pair) {
+  if (!pair.involves_predicted()) {
+    current_spent_ += pair.cost_mean();
   } else {
-    future_lb_spent_ += cost_lb;
+    future_lb_spent_ += pair.cost_lb();
   }
 }
 

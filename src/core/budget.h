@@ -2,7 +2,6 @@
 #define MQA_CORE_BUDGET_H_
 
 #include "core/pair_pool.h"
-#include "model/candidate_pair.h"
 
 namespace mqa {
 
@@ -22,8 +21,8 @@ namespace mqa {
 /// Only current-current pairs are ever emitted, so the final output always
 /// satisfies the hard per-instance constraint.
 ///
-/// All checks read only cost moments + the predicted flag, so the PairRef
-/// overloads never touch a pair's (possibly lazy) quality statistics.
+/// All checks read only cost moments + the predicted flag, so they never
+/// touch a pair's (possibly lazy) quality statistics.
 class BudgetTracker {
  public:
   /// `budget` is B (per pot); `delta` the Eq. 9 confidence level.
@@ -31,31 +30,14 @@ class BudgetTracker {
 
   /// Cheap reject (paper Fig. 5 line 6): the pair's lower-bound cost
   /// already exceeds the remaining budget of its pot.
-  bool QuickReject(const PairRef& pair) const {
-    return QuickRejectCost(pair.cost_lb(), pair.involves_predicted());
-  }
-  bool QuickReject(const CandidatePair& pair) const {
-    return QuickRejectCost(pair.cost.lb(), pair.involves_predicted);
-  }
+  bool QuickReject(const PairRef& pair) const;
 
   /// Full admission test: hard check for fixed-cost pairs, Eq. 9 chance
   /// constraint for uncertain-cost pairs.
-  bool Admits(const PairRef& pair) const {
-    return AdmitsCost(pair.cost_mean(), pair.cost_variance(),
-                      pair.involves_predicted());
-  }
-  bool Admits(const CandidatePair& pair) const {
-    return AdmitsCost(pair.cost.mean(), pair.cost.variance(),
-                      pair.involves_predicted);
-  }
+  bool Admits(const PairRef& pair) const;
 
   /// Records a selected pair. Requires Admits(pair).
-  void Commit(const PairRef& pair) {
-    CommitCost(pair.cost_mean(), pair.cost_lb(), pair.involves_predicted());
-  }
-  void Commit(const CandidatePair& pair) {
-    CommitCost(pair.cost.mean(), pair.cost.lb(), pair.involves_predicted);
-  }
+  void Commit(const PairRef& pair);
 
   double budget() const { return budget_; }
   double delta() const { return delta_; }
@@ -63,11 +45,6 @@ class BudgetTracker {
   double future_lb_spent() const { return future_lb_spent_; }
 
  private:
-  bool QuickRejectCost(double cost_lb, bool involves_predicted) const;
-  bool AdmitsCost(double cost_mean, double cost_variance,
-                  bool involves_predicted) const;
-  void CommitCost(double cost_mean, double cost_lb, bool involves_predicted);
-
   double budget_;
   double delta_;
   double current_spent_ = 0.0;

@@ -19,18 +19,17 @@
 namespace mqa {
 
 /// Everything one assignment epoch produces besides side effects on the
-/// runner's prediction/index state. The caller owns the entity pools and
-/// applies the outcome to them (remove assigned entities, route rejoin
-/// workers), which is the only place the batch and streaming simulators
-/// differ.
+/// runner's prediction/index state. The caller (the streaming engine)
+/// owns the entity pools and applies the outcome to them: remove
+/// assigned entities, route rejoin workers.
 struct EpochOutcome {
   /// The raw assignment (current-current pairs; indices into the pools
   /// passed to RunEpoch).
   AssignmentResult result;
 
   /// Per-epoch measurements (instance stamp, availability, prediction
-  /// errors, cpu seconds, assigned/quality/cost) — the batch simulator
-  /// records these verbatim as its InstanceMetrics.
+  /// errors, cpu seconds, assigned/quality/cost) — the batch summary
+  /// records these as its InstanceMetrics.
   InstanceMetrics metrics;
 
   /// worker_assigned[i] / task_assigned[j] flag the available entities
@@ -51,9 +50,8 @@ struct EpochOutcome {
   std::vector<Rejoin> rejoins;
 };
 
-/// The per-epoch core of the MQA_Framework loop (paper Fig. 3), shared by
-/// the batch Simulator and the streaming engine so that both drive the
-/// *identical* predict -> assemble -> assign -> validate pipeline:
+/// The per-epoch core of the MQA_Framework loop (paper Fig. 3), driven by
+/// the streaming engine (and through it by the batch Simulator adapter):
 ///
 ///   score previous prediction -> Observe arrivals -> PredictNext ->
 ///   assemble ProblemInstance (available entities + predicted, carrying
@@ -77,8 +75,8 @@ class EpochRunner {
   /// (already appended to the pools) used for prediction bookkeeping;
   /// `available_workers`/`available_tasks` are the full current pools the
   /// assigner sees. `predict_next` gates PredictNext — pass false at the
-  /// final epoch, where predicting has no consumer (the batch loop's
-  /// `p + 1 < num_instances`).
+  /// final epoch, where predicting has no consumer (under the
+  /// per-instance policy, `p + 1 < num_instances`).
   Result<EpochOutcome> RunEpoch(int64_t epoch_index,
                                 const std::vector<Worker>& new_workers,
                                 const std::vector<Task>& new_tasks,

@@ -9,7 +9,8 @@
 
 namespace mqa {
 
-/// Per-instance measurements recorded by the simulator.
+/// Per-epoch measurements recorded by the streaming engine; the batch
+/// Simulator's summary holds one per instance.
 struct InstanceMetrics {
   Timestamp instance = 0;
 
@@ -47,9 +48,11 @@ struct InstanceMetrics {
   double validate_seconds = 0.0;  // ValidateAssignment (0 when disabled)
   double apply_seconds = 0.0;     // consumed marking + rejoin computation
 
-  /// Streaming-engine-only phases (0 in batch mode, keeping batch and
-  /// stream reports field-compatible): event-queue drain into the epoch,
-  /// and the coverable-backlog rescan of deferred tasks.
+  /// Streaming phases outside the epoch core: event-queue drain into the
+  /// epoch, and the coverable-backlog rescan of deferred tasks. Run
+  /// reports carry them for every run; the batch SimulationSummary keeps
+  /// them at 0, so batch measurements count that time (the per-instance
+  /// carryover) as loop time outside the epoch.
   double ingest_seconds = 0.0;
   double backlog_scan_seconds = 0.0;
 
@@ -88,8 +91,8 @@ struct InstanceMetrics {
 };
 
 /// Projects an epoch's metrics onto the run report's layering-clean row
-/// (obs must not see sim types). Both simulators feed RunReport through
-/// this.
+/// (obs must not see sim types). The streaming engine feeds RunReport
+/// through this, for batch and streaming runs alike.
 EpochReportRow ToEpochReportRow(const InstanceMetrics& m);
 
 /// Whole-run aggregates.

@@ -17,17 +17,20 @@ namespace mqa {
 ///   assign -> apply (busy workers travel, tasks complete or expire,
 ///   unassigned entities carry over) -> record metrics.
 ///
-/// The per-instance predict/assign core lives in EpochRunner, shared
-/// with the streaming engine (src/stream/); this class owns the batch
-/// clock: one epoch per stream instance, arrivals fed from the batches,
-/// rejoins routed through an instance-indexed queue.
+/// A thin adapter over the streaming engine (src/stream/), which owns the
+/// one simulation loop: the stream's batches become arrival events at
+/// times 0, 1, 2, ..., the engine cuts one epoch per instance
+/// (EpochPolicyKind::kPerInstance) up to a horizon of num_instances, and
+/// each epoch's InstanceMetrics lands in the summary.
 class Simulator {
  public:
   /// `quality` must outlive the simulator.
   Simulator(const SimulatorConfig& config, const QualityModel* quality);
 
   /// Runs `assigner` over the whole stream. Returns an error when the
-  /// stream is malformed or an assignment violates the MQA constraints.
+  /// stream is malformed, `assigner` is null (checked before an empty
+  /// stream returns its empty summary) or an assignment violates the MQA
+  /// constraints.
   Result<SimulationSummary> Run(const ArrivalStream& stream,
                                 Assigner* assigner);
 

@@ -6,9 +6,9 @@
 
 namespace mqa {
 
-/// Configuration of the MQA_Framework loop (paper Fig. 3), shared by the
-/// batch Simulator and the streaming engine (both drive the same
-/// EpochRunner core).
+/// Configuration of the MQA_Framework loop (paper Fig. 3): the epoch core
+/// (EpochRunner) of the streaming engine, which the batch Simulator runs
+/// under the per-instance policy.
 struct SimulatorConfig {
   /// Per-instance traveling budget B (per assignment epoch in streaming
   /// mode — one epoch is one budgeted assignment round).

@@ -20,44 +20,56 @@ StreamEvent EventQueue::Pop() {
 }
 
 EventQueue EventQueue::FromArrivalStream(const ArrivalStream& stream) {
-  EventQueue queue;
+  size_t num_events = 0;
+  for (size_t p = 0; p < stream.workers.size(); ++p) {
+    num_events += stream.workers[p].size() + stream.tasks[p].size();
+  }
+  std::vector<StreamEvent> events;
+  events.reserve(num_events);
   for (size_t p = 0; p < stream.workers.size(); ++p) {
     const double time = static_cast<double>(p);
     for (const Worker& w : stream.workers[p]) {
-      StreamEvent e;
+      StreamEvent& e = events.emplace_back();
       e.time = time;
       e.kind = EventKind::kWorkerArrival;
       e.worker = w;
-      queue.Push(std::move(e));
     }
     for (const Task& t : stream.tasks[p]) {
-      StreamEvent e;
+      StreamEvent& e = events.emplace_back();
       e.time = time;
       e.kind = EventKind::kTaskArrival;
       e.task = t;
-      queue.Push(std::move(e));
     }
   }
-  return queue;
+  return EventQueue(std::move(events));
 }
 
 EventQueue EventQueue::FromScenario(const ScenarioStream& scenario) {
-  EventQueue queue;
+  std::vector<StreamEvent> events;
+  events.reserve(scenario.workers.size() + scenario.tasks.size());
   for (const TimedWorker& tw : scenario.workers) {
-    StreamEvent e;
+    StreamEvent& e = events.emplace_back();
     e.time = tw.time;
     e.kind = EventKind::kWorkerArrival;
     e.worker = tw.worker;
-    queue.Push(std::move(e));
   }
   for (const TimedTask& tt : scenario.tasks) {
-    StreamEvent e;
+    StreamEvent& e = events.emplace_back();
     e.time = tt.time;
     e.kind = EventKind::kTaskArrival;
     e.task = tt.task;
-    queue.Push(std::move(e));
   }
-  return queue;
+  return EventQueue(std::move(events));
+}
+
+EventQueue::EventQueue(std::vector<StreamEvent> arrivals) {
+  for (StreamEvent& e : arrivals) {
+    e.seq = next_seq_++;
+    if (e.time > max_arrival_time_) max_arrival_time_ = e.time;
+  }
+  // (time, seq) is a total order, so one heapify pops exactly like the
+  // equivalent sequence of Push calls.
+  heap_ = decltype(heap_)(Later(), std::move(arrivals));
 }
 
 }  // namespace mqa

@@ -51,6 +51,8 @@ struct StreamEvent {
 /// internals.
 class EventQueue {
  public:
+  EventQueue() = default;
+
   /// Enqueues `event`, stamping its seq. Events may be pushed while the
   /// engine drains the queue (rejoins, expiries).
   void Push(StreamEvent event);
@@ -69,9 +71,9 @@ class EventQueue {
 
   /// Lifts a batch arrival stream into events: the batch-p entities
   /// arrive at continuous time p, workers before tasks, each batch in
-  /// vector order — exactly the order the batch Simulator consumes them,
-  /// which is what makes the per-instance epoch policy reproduce it
-  /// byte-for-byte. Call stream.Validate() first; this does not.
+  /// vector order — the paper's per-instance arrival order, which the
+  /// batch Simulator replays through the per-instance epoch policy. Call
+  /// stream.Validate() first; this does not.
   static EventQueue FromArrivalStream(const ArrivalStream& stream);
 
   /// Lifts a scenario's timestamped arrivals into events. Each list is
@@ -80,6 +82,10 @@ class EventQueue {
   static EventQueue FromScenario(const ScenarioStream& scenario);
 
  private:
+  /// The factories' one construction path: stamps seq in vector order,
+  /// tracks the max arrival time, and heapifies once.
+  explicit EventQueue(std::vector<StreamEvent> arrivals);
+
   struct Later {
     bool operator()(const StreamEvent& a, const StreamEvent& b) const {
       if (a.time != b.time) return a.time > b.time;

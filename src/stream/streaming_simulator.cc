@@ -35,10 +35,10 @@ const char* EpochPolicyKindToString(EpochPolicyKind kind) {
 namespace {
 
 /// The run-scoped state machine behind StreamingSimulator::Run. Pools are
-/// kept in batch-simulator order (carryover preserves relative order, new
+/// kept in arrival order (carryover preserves relative order, new
 /// arrivals append) so that the per-instance epoch policy replays the
-/// batch loop byte-for-byte; every parallel vector (arrival times, task
-/// keys) is compacted in lockstep.
+/// paper's batch loop byte-for-byte; every parallel vector (arrival
+/// times, task keys) is compacted in lockstep.
 class Engine {
  public:
   Engine(const StreamingConfig& config, const QualityModel* quality,
@@ -173,9 +173,9 @@ class Engine {
 
   /// Ages pending tasks to epoch time `t`: remaining deadlines shrink by
   /// the time since the previous epoch and fully elapsed tasks expire.
-  /// Exactly the batch loop's carryover arithmetic (deadline -=
-  /// elapsed, drop at <= 0), applied at the start of the next epoch
-  /// instead of the end of the previous one — same drop set, same bits.
+  /// The paper's carryover arithmetic (deadline -= elapsed, drop at
+  /// <= 0), applied at the start of the next epoch instead of the end of
+  /// the previous one — same drop set, same bits.
   void AgeTasks(double t, EpochStreamMetrics* em) {
     if (!any_epoch_) return;
     const double elapsed = t - prev_epoch_time_;
@@ -364,7 +364,7 @@ class Engine {
                                         t_backlog)
               .count();
     }
-    // Stream-only phases, surfaced so batch and stream reports stay
+    // Phases outside the epoch core, surfaced so every report stays
     // field-compatible (--phase-timing CSV and run-report rows).
     em.instance.ingest_seconds = ingest_seconds;
     MQA_METRIC_RECORD("mqa.phase.ingest.self_seconds", ingest_seconds);
@@ -402,9 +402,8 @@ class Engine {
     }
 
     // Completions: assigned workers travel, then rejoin as future arrival
-    // events on the instance grid (the batch loop's rejoin_queue, as
-    // events). Past-horizon rejoins are discarded exactly like the batch
-    // loop drops rejoiners past the last instance.
+    // events on the instance grid. Past-horizon rejoins are discarded: a
+    // batch run drops rejoiners past its last instance.
     for (EpochOutcome::Rejoin& rejoin : outcome.rejoins) {
       StreamEvent event;
       event.time = t + static_cast<double>(rejoin.offset) * kInstanceDuration;

@@ -15,9 +15,9 @@ namespace mqa {
 /// When the streaming engine cuts an assignment epoch out of the event
 /// stream. See src/stream/README.md for the full semantics.
 enum class EpochPolicyKind {
-  /// One epoch per instance-duration tick — the determinism anchor: fed
-  /// the events of a batch ArrivalStream, the engine reproduces the batch
-  /// Simulator byte-for-byte (property-tested).
+  /// One epoch per instance-duration tick — the paper's batch clock. The
+  /// batch Simulator runs the engine under this policy on the events of
+  /// its ArrivalStream.
   kPerInstance,
   /// One epoch every `interval` continuous-time units.
   kFixedInterval,
@@ -50,7 +50,7 @@ struct EpochPolicy {
 
 struct StreamingConfig {
   /// The epoch core's knobs (budget per epoch, prediction, rejoin,
-  /// indexes, threads) — identical meaning to the batch simulator.
+  /// indexes, threads), shared with the batch Simulator adapter.
   /// sim.maintain_worker_index additionally enables the per-epoch
   /// coverable-backlog metric.
   SimulatorConfig sim;
@@ -58,21 +58,23 @@ struct StreamingConfig {
   EpochPolicy policy;
 
   /// Exclusive end of simulated time: epochs fire strictly before it and
-  /// events at or past it are discarded (exactly how the batch loop drops
-  /// rejoiners past the last instance). <= 0 derives
-  /// floor(max arrival time) + 1, which for an ArrivalStream-fed queue is
-  /// its instance count.
+  /// events at or past it are discarded (a batch run drops rejoiners past
+  /// its last instance). <= 0 derives floor(max arrival time) + 1, which
+  /// for an ArrivalStream-fed queue is its instance count unless the
+  /// trailing instances are empty — the batch Simulator therefore passes
+  /// its instance count explicitly.
   double horizon = 0.0;
 };
 
-/// Event-driven online replacement for the batch Simulator: replays
+/// The one simulation engine (the batch Simulator is an adapter over its
+/// per-instance policy): replays
 /// timestamped arrival/completion/expiry events from an EventQueue,
 /// maintains the worker/task pools *and their spatial indexes*
 /// incrementally across epochs (TaskIndexCache / WorkerIndexCache diff
 /// against the previous epoch, so upkeep costs O(churn)), and cuts
-/// assignment epochs by policy, each epoch driving the same EpochRunner
-/// predict -> assign -> validate core as the batch loop. On top of the
-/// batch metrics it measures what only a stream exposes: per-epoch
+/// assignment epochs by policy, each epoch driving the EpochRunner
+/// predict -> assign -> validate core. On top of the per-instance
+/// metrics it measures what only a stream exposes: per-epoch
 /// assignment latency, arrival -> assignment queue waits, and backlog
 /// depth.
 class StreamingSimulator {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace mqa {
 namespace {
+
+using testing_util::PoolOf;
 
 CandidatePair FixedPair(double cost, double quality) {
   CandidatePair p;
@@ -72,23 +76,27 @@ TEST(ProbLessEqTest, FixedComparisons) {
 }
 
 TEST(DominanceTest, StrictDominance) {
-  const CandidatePair good = FixedPair(/*cost=*/1.0, /*quality=*/5.0);
-  const CandidatePair bad = FixedPair(/*cost=*/3.0, /*quality=*/2.0);
+  const PairPool pool = PoolOf({FixedPair(/*cost=*/1.0, /*quality=*/5.0),
+                                FixedPair(/*cost=*/3.0, /*quality=*/2.0)});
+  const PairRef good = pool.pair(0);
+  const PairRef bad = pool.pair(1);
   EXPECT_TRUE(Dominates(good, bad));
   EXPECT_FALSE(Dominates(bad, good));
 }
 
 TEST(DominanceTest, NoDominanceOnTies) {
-  const CandidatePair a = FixedPair(1.0, 5.0);
-  const CandidatePair b = FixedPair(1.0, 2.0);  // same cost
-  EXPECT_FALSE(Dominates(a, b));  // ub_cost(a) < lb_cost(b) fails (equal)
+  const PairPool pool =
+      PoolOf({FixedPair(1.0, 5.0), FixedPair(1.0, 2.0)});  // same cost
+  // ub_cost(a) < lb_cost(b) fails (equal).
+  EXPECT_FALSE(Dominates(pool.pair(0), pool.pair(1)));
 }
 
 TEST(DominanceTest, OverlappingBoundsDoNotDominate) {
-  const CandidatePair a =
-      UncertainPair(1.0, 0.1, 0.5, 1.5, 4.0, 0.1, 3.0, 5.0);
-  const CandidatePair b =
-      UncertainPair(2.0, 0.1, 1.2, 2.8, 3.0, 0.1, 2.0, 4.0);
+  const PairPool pool =
+      PoolOf({UncertainPair(1.0, 0.1, 0.5, 1.5, 4.0, 0.1, 3.0, 5.0),
+              UncertainPair(2.0, 0.1, 1.2, 2.8, 3.0, 0.1, 2.0, 4.0)});
+  const PairRef a = pool.pair(0);
+  const PairRef b = pool.pair(1);
   // Cost intervals [0.5,1.5] vs [1.2,2.8] overlap -> no Lemma 4.1 prune.
   EXPECT_FALSE(Dominates(a, b));
   // But a is probabilistically better on both dimensions.
@@ -98,8 +106,9 @@ TEST(DominanceTest, OverlappingBoundsDoNotDominate) {
 
 TEST(DominanceTest, MixedStrengthNoProbabilisticDomination) {
   // a cheaper but worse quality: neither dominates.
-  const CandidatePair a = FixedPair(1.0, 2.0);
-  const CandidatePair b = FixedPair(2.0, 3.0);
+  const PairPool pool = PoolOf({FixedPair(1.0, 2.0), FixedPair(2.0, 3.0)});
+  const PairRef a = pool.pair(0);
+  const PairRef b = pool.pair(1);
   EXPECT_FALSE(ProbabilisticallyDominates(a, b));
   EXPECT_FALSE(ProbabilisticallyDominates(b, a));
 }
@@ -107,18 +116,21 @@ TEST(DominanceTest, MixedStrengthNoProbabilisticDomination) {
 TEST(EffectiveQualityTest, ComparisonsUseRawQuality) {
   // Eq. 7/10 compare raw quality distributions (paper pseudo-code);
   // the existence probability does not handicap predicted pairs.
-  const CandidatePair p =
-      UncertainPair(1.0, 0.0, 1.0, 1.0, 2.0, 0.0, 2.0, 2.0, /*existence=*/0.5);
+  const PairPool pool = PoolOf(
+      {UncertainPair(1.0, 0.0, 1.0, 1.0, 2.0, 0.0, 2.0, 2.0,
+                     /*existence=*/0.5),
+       FixedPair(1.0, 1.2)});
+  const PairRef p = pool.pair(0);
+  const PairRef sure = pool.pair(1);
   EXPECT_DOUBLE_EQ(p.EffectiveQuality().mean(), 2.0);
-  const CandidatePair sure = FixedPair(1.0, 1.2);
   EXPECT_LT(ProbQualityGreater(sure, p), 0.5);
 }
 
 TEST(EffectiveQualityTest, ThinnedVariantAvailable) {
   // The conservative Bernoulli-thinned ranking stays available.
-  const CandidatePair p =
-      UncertainPair(1.0, 0.0, 1.0, 1.0, 2.0, 0.0, 2.0, 2.0, /*existence=*/0.5);
-  const Uncertain thinned = p.ExistenceThinnedQuality();
+  const PairPool pool = PoolOf({UncertainPair(
+      1.0, 0.0, 1.0, 1.0, 2.0, 0.0, 2.0, 2.0, /*existence=*/0.5)});
+  const Uncertain thinned = pool.pair(0).ExistenceThinnedQuality();
   EXPECT_DOUBLE_EQ(thinned.mean(), 1.0);
   EXPECT_GT(thinned.variance(), 0.0);
   EXPECT_DOUBLE_EQ(thinned.lb(), 0.0);

@@ -50,6 +50,10 @@ TEST(EdgeTest, EmptyStreamProducesEmptySummary) {
   ASSERT_TRUE(summary.ok());
   EXPECT_TRUE(summary.value().per_instance.empty());
   EXPECT_EQ(summary.value().total_assigned, 0);
+  // The assigner check precedes the empty-stream early return.
+  const auto no_assigner = sim.Run(ArrivalStream{}, nullptr);
+  ASSERT_FALSE(no_assigner.ok());
+  EXPECT_EQ(no_assigner.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EdgeTest, WorkersOnlyStreamAssignsNothing) {

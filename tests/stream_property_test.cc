@@ -1,8 +1,11 @@
-// The streaming engine's determinism anchor: fed the events of a batch
-// ArrivalStream and the per-instance epoch policy, StreamingSimulator
-// must reproduce the batch Simulator byte-for-byte — identical assignment
-// pairs, identical quality/cost bits, identical per-instance metrics —
-// across algorithms, thread counts, rejoin, and index-cache modes.
+// The batch Simulator is an adapter over the streaming engine's
+// per-instance policy, so batch/stream byte-equivalence holds by
+// construction. This suite pins the adapter: a direct StreamingSimulator
+// run on EventQueue::FromArrivalStream (worker index on) must match it —
+// identical assignment pairs, identical quality/cost bits, identical
+// per-instance metrics — across algorithms, thread counts, rejoin, and
+// index-cache modes. A wrong horizon, event order or summary projection
+// in the adapter shows up here.
 
 #include <cstring>
 #include <vector>

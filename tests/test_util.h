@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "core/assigner.h"
+#include "core/pair_pool.h"
 #include "model/problem_instance.h"
 #include "model/task.h"
 #include "model/worker.h"
@@ -39,6 +40,19 @@ inline Worker MakePredictedWorker(WorkerId id, const BBox& box,
   w.velocity = velocity;
   w.predicted = true;
   return w;
+}
+
+/// Hand-built pool holding `pairs` in order, pair k on worker k / task k.
+inline PairPool PoolOf(std::vector<CandidatePair> pairs) {
+  PairPoolBuilder builder(pairs.size(), pairs.size());
+  int32_t k = 0;
+  for (CandidatePair& p : pairs) {
+    p.worker_index = k;
+    p.task_index = k;
+    ++k;
+    builder.Add(p);
+  }
+  return std::move(builder).Build();
 }
 
 /// Task at a fixed point.
