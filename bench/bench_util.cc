@@ -6,11 +6,8 @@
 #include <cstdlib>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/run_report.h"
-#include "obs/stats_server.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 
@@ -131,12 +128,9 @@ std::vector<VariantResult> RunAllVariants(const ArrivalStream& stream,
 
 void InitObservability() {
   Tracer::InitFromEnv();
-  MetricsRegistry::InitFromEnv();
   RunReport::InitFromEnv();
   PerfCounters::InitFromEnv();
   Watchdog::InitFromEnv();
-  TimelineRecorder::InitFromEnv();
-  StatsServer::InitFromEnv();
   RunReport::Get().SetConfig("bench_scale", Scale());
 }
 

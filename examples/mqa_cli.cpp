@@ -10,21 +10,19 @@
 //   mqa_cli --scenario=bursty --stream --epoch-policy=backlog --backlog-threshold=200
 //   mqa_cli --scenario=rush-hour --stream --epoch-policy=interval --epoch-interval=0.5
 
-#include <chrono>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
-#include <thread>
+#include <type_traits>
 
 #include "core/assigner.h"
 #include "exec/parallel_runner.h"
-#include "obs/metrics.h"
 #include "obs/perf_counters.h"
 #include "obs/run_report.h"
-#include "obs/slo_monitor.h"
-#include "obs/stats_server.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "quality/range_quality.h"
@@ -77,32 +75,13 @@ struct CliOptions {
   bool trace_format_given = false;
   const char* stream_only_flag = nullptr;  // first one given, if any
   std::string trace_file;       // Chrome trace-event JSON (Perfetto)
-  std::string metrics_file;     // metrics-registry JSON export
   std::string run_report_file;  // unified run-report JSON artifact
-  std::string timeline_file;    // mqa-timeline-v1 JSONL (live-appended)
-  int64_t timeline_every = 1;   // snapshot every N epochs
-  int stats_port = -1;          // -1 = off; 0 = kernel-assigned loopback
-  double stats_linger = 0.0;    // keep the stats server up after the run
-  double slo_p99 = 0.0;         // SLO: windowed p99 epoch latency target
-  double slo_deadline = 0.0;    // SLO: per-epoch deadline (overrun ratio)
-  double slo_backlog = 0.0;     // SLO: max post-epoch backlog depth
-  int64_t slo_window = 64;      // SLO rolling window, in epochs
 };
 
-/// Writes the requested trace / metrics files after the run. Returns the
-/// run's exit code, or 1 if a requested export failed (a bad path must
-/// not silently swallow the observability the user asked for).
+/// Writes the requested trace / run-report files after the run. Returns
+/// the run's exit code, or 1 if a requested export failed (a bad path
+/// must not silently swallow the observability the user asked for).
 int FinishObservability(const CliOptions& opt, int rc) {
-  // Timeline first: Stop takes the "final" snapshot, so a lingering
-  // stats server's /timeline already serves the complete run.
-  TimelineRecorder::Get().Stop();
-  if (opt.stats_linger > 0.0 && StatsServer::Get().active()) {
-    std::fprintf(stderr, "stats server lingering %.1f s on 127.0.0.1:%d\n",
-                 opt.stats_linger, StatsServer::Get().port());
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(opt.stats_linger));
-  }
-  StatsServer::Get().Stop();
   // Quiesce the watchdog before exports: its poll thread reads the trace
   // buffers the exporters are about to walk.
   Watchdog::Get().Stop();
@@ -121,15 +100,6 @@ int FinishObservability(const CliOptions& opt, int rc) {
       if (rc == 0) rc = 1;
     }
   }
-  if (!opt.metrics_file.empty()) {
-    const Status status =
-        MetricsRegistry::Get().WriteJsonFile(opt.metrics_file);
-    if (!status.ok()) {
-      std::fprintf(stderr, "--metrics-json: %s\n",
-                   status.ToString().c_str());
-      if (rc == 0) rc = 1;
-    }
-  }
   return rc;
 }
 
@@ -142,11 +112,37 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
+/// Parses `name=value` into `*out`. Returns false when `arg` is another
+/// flag. Exits 2 unless the whole value is a number that fits T: an
+/// integer for integer flags, a finite decimal for double flags.
 template <typename T>
 bool ParseNumeric(const char* arg, const char* name, T* out) {
   std::string value;
   if (!ParseFlag(arg, name, &value)) return false;
-  *out = static_cast<T>(std::atof(value.c_str()));
+  const char* begin = value.c_str();
+  char* end = nullptr;
+  errno = 0;
+  bool fits = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    const double v = std::strtod(begin, &end);
+    fits = std::isfinite(v);
+    *out = static_cast<T>(v);
+  } else if constexpr (std::is_signed_v<T>) {
+    const long long v = std::strtoll(begin, &end, 10);
+    fits = v >= std::numeric_limits<T>::min() &&
+           v <= std::numeric_limits<T>::max();
+    *out = static_cast<T>(v);
+  } else {
+    // strtoull negates a leading '-' instead of rejecting it.
+    const unsigned long long v = std::strtoull(begin, &end, 10);
+    fits = std::strchr(begin, '-') == nullptr &&
+           v <= std::numeric_limits<T>::max();
+    *out = static_cast<T>(v);
+  }
+  if (value.empty() || end != begin + value.size() || errno != 0 || !fits) {
+    std::fprintf(stderr, "%s: invalid value\n", name);
+    std::exit(2);
+  }
   return true;
 }
 
@@ -177,22 +173,13 @@ void PrintUsage() {
       "  --phase-timing (per-epoch phase wall-time CSV columns)\n"
       "  --trace=FILE (Chrome trace-event JSON of the epoch lifecycle,\n"
       "      loadable in Perfetto; see docs/OBSERVABILITY.md)\n"
-      "  --metrics-json=FILE (counters/gauges/histograms as JSON)\n"
       "  --run-report=FILE (unified run artifact: config + git/machine\n"
-      "      provenance + per-epoch rows + counter aggregates + metrics)\n"
+      "      provenance + per-epoch rows + counter aggregates + the\n"
+      "      metrics registry's counters/gauges/histograms)\n"
       "  --perf-counters (attach hardware-counter deltas to phase spans\n"
       "      via perf_event_open; silent no-op where unavailable)\n"
       "  --watchdog=SECONDS (flight recorder: dump in-flight span stacks\n"
-      "      when an epoch runs past 3x the expected seconds)\n"
-      "  --timeline=FILE (live-appended mqa-timeline-v1 JSONL: registry\n"
-      "      snapshots + process stats every --timeline-every=N epochs)\n"
-      "  --stats-port=PORT (loopback HTTP endpoint: /metrics Prometheus\n"
-      "      exposition, /timeline tail, /healthz; 0 = kernel-assigned;\n"
-      "      --stats-linger=SECONDS keeps it up after the run)\n"
-      "  --slo-p99=S --slo-deadline=S --slo-backlog=N --slo-window=W\n"
-      "      (rolling SLO monitor: windowed p99 latency / epoch-deadline\n"
-      "      overrun ratio / backlog targets; breaches are logged,\n"
-      "      counted in mqa.slo.* and dumped to the flight recorder)\n");
+      "      when an epoch runs past 3x the expected seconds)\n");
 }
 
 void PrintPoolStatsHeader() {
@@ -359,16 +346,7 @@ int main(int argc, char** argv) {
         ParseFlag(a, "--replay-trace", &opt.replay_trace) ||
         ParseFlag(a, "--trace-format", &opt.trace_format) ||
         ParseFlag(a, "--trace", &opt.trace_file) ||
-        ParseFlag(a, "--metrics-json", &opt.metrics_file) ||
         ParseFlag(a, "--run-report", &opt.run_report_file) ||
-        ParseFlag(a, "--timeline", &opt.timeline_file) ||
-        ParseNumeric(a, "--timeline-every", &opt.timeline_every) ||
-        ParseNumeric(a, "--stats-port", &opt.stats_port) ||
-        ParseNumeric(a, "--stats-linger", &opt.stats_linger) ||
-        ParseNumeric(a, "--slo-p99", &opt.slo_p99) ||
-        ParseNumeric(a, "--slo-deadline", &opt.slo_deadline) ||
-        ParseNumeric(a, "--slo-backlog", &opt.slo_backlog) ||
-        ParseNumeric(a, "--slo-window", &opt.slo_window) ||
         ParseNumeric(a, "--watchdog", &opt.watchdog_seconds) ||
         ParseNumeric(a, "--workers", &opt.workers) ||
         ParseNumeric(a, "--tasks", &opt.tasks) ||
@@ -422,6 +400,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--trace-format requires --record-trace\n");
     return 2;
   }
+  // Sizes the library would otherwise reject with an abort.
+  const struct {
+    const char* name;
+    double value;
+    double min;
+  } kMinimums[] = {
+      {"--workers", static_cast<double>(opt.workers), 0.0},
+      {"--tasks", static_cast<double>(opt.tasks), 0.0},
+      {"--instances", static_cast<double>(opt.instances), 1.0},
+      {"--gamma", static_cast<double>(opt.gamma), 1.0},
+      {"--window", static_cast<double>(opt.window), 1.0},
+      {"--threads", static_cast<double>(opt.threads), 1.0},
+      {"--budget", opt.budget, 0.0},
+      {"--unit-price", opt.unit_price, 0.0},
+  };
+  for (const auto& flag : kMinimums) {
+    if (flag.value < flag.min) {
+      std::fprintf(stderr, "%s: must be >= %g\n", flag.name, flag.min);
+      return 2;
+    }
+  }
 
   // Tracing/metrics must be live before the simulators run; the trusted
   // contract is that enabling them never changes assignments or scores
@@ -438,31 +437,6 @@ int main(int argc, char** argv) {
     WatchdogConfig wconfig;
     wconfig.deadline_seconds = opt.watchdog_seconds;
     Watchdog::Get().Start(wconfig);
-  }
-  if (!opt.timeline_file.empty()) {
-    TimelineConfig tconfig;
-    tconfig.sink_path = opt.timeline_file;
-    tconfig.every_epochs = opt.timeline_every > 0 ? opt.timeline_every : 1;
-    const Status status = TimelineRecorder::Get().Start(tconfig);
-    if (!status.ok()) {
-      std::fprintf(stderr, "--timeline: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  if (opt.stats_port >= 0) {
-    const Status status = StatsServer::Get().Start(opt.stats_port);
-    if (!status.ok()) {
-      std::fprintf(stderr, "--stats-port: %s\n", status.ToString().c_str());
-      return 1;
-    }
-  }
-  if (opt.slo_p99 > 0.0 || opt.slo_deadline > 0.0 || opt.slo_backlog > 0.0) {
-    SloConfig slo;
-    slo.p99_latency_seconds = opt.slo_p99;
-    slo.epoch_deadline_seconds = opt.slo_deadline;
-    slo.max_backlog = opt.slo_backlog;
-    slo.window_epochs = opt.slo_window;
-    SloMonitor::Get().Configure(slo);
   }
 
   // Stamp the run report's config section (cheap; the report is only

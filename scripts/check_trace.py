@@ -19,8 +19,9 @@ Checks, in order:
      epoch's duration — the "the trace explains where the time went"
      acceptance bar.
 
-Also validates a metrics JSON export when given via --metrics (parses,
-has counters/gauges/histograms objects, histogram stats are coherent).
+Also validates the metrics registry nested in a run report when given
+via --metrics (the report parses, its "metrics" object has
+counters/gauges/histograms objects, histogram stats are coherent).
 
 Exit 0 when everything holds, 1 otherwise.
 """
@@ -166,7 +167,9 @@ def check_coverage(by_tid, min_coverage):
 def check_metrics(path):
     errors = []
     with open(path) as f:
-        doc = json.load(f)
+        doc = json.load(f).get("metrics")
+    if not isinstance(doc, dict):
+        return ["run report: missing 'metrics' object"]
     for section in ("counters", "gauges", "histograms"):
         if not isinstance(doc.get(section), dict):
             errors.append(f"metrics: missing '{section}' object")
@@ -187,7 +190,8 @@ def check_metrics(path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trace", help="Chrome trace-event JSON file")
-    parser.add_argument("--metrics", help="metrics JSON export to validate")
+    parser.add_argument("--metrics",
+                        help="run report whose nested metrics to validate")
     parser.add_argument("--require-span", action="append", default=[],
                         help="span name that must occur at least once")
     parser.add_argument("--min-coverage", type=float, default=0.0,

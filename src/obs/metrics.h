@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-
 namespace mqa {
 
 /// Monotonic named counter. Handles are stable for the process lifetime;
@@ -131,25 +129,11 @@ class MetricsRegistry {
       const std::function<void(const std::string&, const Histogram&)>& fn)
       const;
 
-  /// Counter/gauge analogues of VisitHistograms, in sorted name order —
-  /// the timeline recorder and the stats server's exposition endpoint
-  /// walk the live registry through these. Same rule: `fn` must not call
-  /// back into the registry.
-  void VisitCounters(
-      const std::function<void(const std::string&, int64_t)>& fn) const;
-  void VisitGauges(
-      const std::function<void(const std::string&, double)>& fn) const;
-
   /// JSON object: {"counters": {name: value, ...}, "gauges": {...},
   /// "histograms": {name: {count, sum, mean, min, max, p50, p90, p99},
   /// ...}}. Keys sorted (std::map) — deterministic given the same values.
   void WriteJson(std::ostream& out) const;
   std::string ToJsonString() const;
-  Status WriteJsonFile(const std::string& path) const;
-
-  /// If the MQA_METRICS_JSON environment variable names a file, registers
-  /// an atexit hook that exports the registry there. Idempotent.
-  static void InitFromEnv();
 
  private:
   MetricsRegistry() = default;

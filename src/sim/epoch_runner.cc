@@ -10,8 +10,6 @@
 #include "core/pair_pool.h"
 #include "model/assignment.h"
 #include "obs/metrics.h"
-#include "obs/slo_monitor.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "obs/watchdog.h"
 #include "prediction/grid.h"
@@ -281,12 +279,6 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   }
   metrics.apply_seconds = TakePhase();
   MQA_METRIC_RECORD("mqa.phase.apply.self_seconds", metrics.apply_seconds);
-
-  // Live telemetry, after the epoch's own metrics are recorded so the
-  // snapshot/SLO evaluation sees this epoch. Both are observation-only
-  // no-ops unless explicitly enabled.
-  SloMonitor::Get().OnEpochLatency(epoch_index, metrics.cpu_seconds);
-  TimelineRecorder::Get().OnEpoch(epoch_index);
 
   return outcome;
 }

@@ -61,16 +61,6 @@ struct EpochStreamMetrics {
   /// (0 when nothing was assigned), in continuous-time units.
   double mean_queue_wait = 0.0;
 
-  /// Rolling-window p99s as of this epoch, maintained incrementally by
-  /// the engine (obs/rolling_window.h) — the end-of-run StreamSummary
-  /// percentiles sort the full sample set once, which is exactly wrong
-  /// for per-epoch consumers (SLO monitor, live timeline); these are the
-  /// incremental per-window accessors. The queue-wait one is a pure
-  /// function of the simulated stream (deterministic, any thread count);
-  /// the epoch-latency one is wall-clock-derived.
-  double window_p99_epoch_latency = 0.0;
-  double window_p99_queue_wait = 0.0;
-
   /// Which policy decision fired this epoch.
   EpochFireReason fire_reason = EpochFireReason::kGridTick;
 };
