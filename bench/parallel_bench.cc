@@ -1,6 +1,6 @@
 // Thread-scaling of the parallel execution subsystem at 10k x 10k (the
 // "city" regime of bench/index_bench.cc: velocity 0.02-0.03, deadline
-// 1-2, hyperlocal reach): sharded pair generation, greedy end-to-end,
+// 1-2, hyperlocal reach): parallel pair generation, greedy end-to-end,
 // and divide-and-conquer end-to-end at 1/2/4/8 threads, reporting
 // speedup over the sequential path. Every parallel run is checked to
 // produce the exact sequential result — the bench doubles as a larger

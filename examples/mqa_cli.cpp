@@ -421,6 +421,24 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  // Paper ranges the quality model and workload generators would
+  // otherwise reject with an abort.
+  const struct {
+    const char* rule;
+    bool violated;
+  } kRanges[] = {
+      {"--q-lo must be <= --q-hi", !(opt.q_lo <= opt.q_hi)},
+      {"--v-lo must be > 0", !(opt.v_lo > 0.0)},
+      {"--v-lo must be <= --v-hi", !(opt.v_lo <= opt.v_hi)},
+      {"--e-lo must be >= 0", !(opt.e_lo >= 0.0)},
+      {"--e-lo must be <= --e-hi", !(opt.e_lo <= opt.e_hi)},
+  };
+  for (const auto& range : kRanges) {
+    if (range.violated) {
+      std::fprintf(stderr, "%s\n", range.rule);
+      return 2;
+    }
+  }
 
   // Tracing/metrics must be live before the simulators run; the trusted
   // contract is that enabling them never changes assignments or scores
@@ -459,7 +477,7 @@ int main(int argc, char** argv) {
     report.SetConfig("stream", opt.stream);
     report.SetConfig("prediction", opt.prediction);
     report.SetConfig("rejoin", opt.rejoin);
-    report.SetConfig("seed", static_cast<int64_t>(opt.seed));
+    report.SetConfig("seed", opt.seed);
     report.SetConfig("threads", static_cast<int64_t>(opt.threads));
     report.SetConfig("perf_counters", opt.perf_counters);
   }

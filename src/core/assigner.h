@@ -42,7 +42,7 @@ struct AssignerOptions {
   IndexBackend index_backend = IndexBackend::kAuto;
 
   /// Total threads (including the calling one) the assigner fans work
-  /// across: sharded pair generation for every algorithm, plus the
+  /// across: parallel pair generation for every algorithm, plus the
   /// subproblem solves of the divide-and-conquer recursion. Any count
   /// produces byte-identical assignments — thread count only changes
   /// wall-clock time (the determinism contract of src/exec/README.md,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -9,9 +10,9 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "exec/pair_arena.h"
-#include "exec/region_sharder.h"
 #include "exec/thread_pool.h"
 #include "index/candidate_scan.h"
+#include "index/grid_index.h"
 #include "quality/quality_model.h"
 #include "stats/distance_stats.h"
 
@@ -110,79 +111,107 @@ void FillPairSlot(const ProblemInstance& instance, PairPoolBuilder* builder,
   builder->qkind_col()[at] = static_cast<uint8_t>(kind);
 }
 
-/// The sharded parallel builder. Produces a pool byte-identical to the
-/// sequential path below by splitting the work into pure per-worker
-/// pieces and keeping every order-sensitive step on one thread:
-///   1. (parallel, per region shard) reachability scans fill per-worker
-///      candidate spans in *shard-pinned* arena buffers — each shard
-///      queries its own border-banded task index, or the caller's
-///      prebuilt index when one exists;
+/// Number of workers at/above which the parallel builder engages; below
+/// it the fan-out costs more than it parallelizes.
+constexpr size_t kMinParallelWorkers = 32;
+
+/// Fixed number of contiguous worker chunks the parallel scan splits
+/// into: enough items for the pool's atomic cursor to balance uneven
+/// chunks over 8+ threads, few enough to amortize each chunk's scratch.
+/// A constant, never derived from the thread count, so the chunk arenas —
+/// and with them the arena metrics — are the same on any pool.
+constexpr size_t kScanChunks = 64;
+
+/// Builds the task index the scan queries when the caller has none:
+/// entry ids are the participating task indices, deadlines are kept for
+/// index-level pruning. A grid's cells are made at least as wide as the
+/// largest reach radius (its ~sqrt(n) auto resolution is the finest it
+/// goes): at the auto resolution a small-reach query walks a hundred-odd
+/// near-empty cells, each paying its own pruning test.
+std::unique_ptr<SpatialIndex> BuildTaskIndex(const ProblemInstance& instance,
+                                             IndexBackend backend,
+                                             size_t num_workers,
+                                             size_t num_tasks,
+                                             double max_deadline) {
+  const IndexBackend resolved =
+      ResolveBackend(backend, num_workers, num_tasks);
+  double max_velocity = 0.0;
+  for (size_t i = 0; i < num_workers; ++i) {
+    max_velocity = std::max(max_velocity, instance.workers()[i].velocity);
+  }
+  const double max_reach = max_velocity * max_deadline;
+  std::unique_ptr<SpatialIndex> index;
+  if (resolved == IndexBackend::kGrid && max_reach > 0.0) {
+    // Compared as doubles: 1 / max_reach can exceed INT_MAX.
+    const double side =
+        std::min(std::ceil(std::sqrt(static_cast<double>(num_tasks))),
+                 std::ceil(1.0 / max_reach));
+    index = std::make_unique<GridIndex>(static_cast<int>(side));
+  } else {
+    index = CreateSpatialIndex(resolved);
+  }
+  std::vector<IndexEntry> entries;
+  entries.reserve(num_tasks);
+  for (size_t j = 0; j < num_tasks; ++j) {
+    entries.push_back({static_cast<int64_t>(j), instance.tasks()[j].location,
+                       instance.tasks()[j].deadline});
+  }
+  index->BulkLoad(entries);
+  return index;
+}
+
+/// The parallel builder. Produces a pool byte-identical to the sequential
+/// path below by splitting the work into pure per-worker pieces and
+/// keeping every order-sensitive step on one thread:
+///   1. (parallel, per worker chunk) reachability scans against the one
+///      shared task index fill per-worker candidate spans in chunk-pinned
+///      arena buffers;
 ///   2. (sequential) a prefix sum over per-worker candidate counts
 ///      positions every pair slot — the same worker-major layout the
 ///      sequential loop emits;
 ///   3. (parallel) pair columns fill into their final slots, fanned per
-///      worker (on skewed instances one region can own most candidates,
-///      and per-shard items would serialize exactly the heavy part);
+///      worker;
 ///   4. (sequential) the CSR adjacency fills in ascending pair-id order.
-/// There is no statistics phase: predicted-pair quality/existence is
-/// deferred to the pool's lazy table, whose replay reads the columns —
-/// identical bytes no matter how they were produced.
-PairPool BuildPairPoolSharded(const ProblemInstance& instance,
-                              const PairPoolOptions& options,
-                              const SpatialIndex* prebuilt, size_t num_workers,
-                              size_t num_tasks, double max_deadline,
-                              bool has_predicted,
-                              const BoxMoments* task_moments, ThreadPool* pool,
-                              PairArena* arena) {
+/// Each worker's candidates come out in ascending task order whichever
+/// chunk scans it, so neither the chunking nor the thread count reaches
+/// the pool. There is no statistics phase: predicted-pair quality/
+/// existence is deferred to the pool's lazy table, whose replay reads the
+/// columns — identical bytes no matter how they were produced.
+PairPool BuildPairPoolParallel(const ProblemInstance& instance,
+                               const SpatialIndex& index, size_t num_workers,
+                               size_t num_tasks, double max_deadline,
+                               bool has_predicted,
+                               const BoxMoments* task_moments, ThreadPool* pool,
+                               PairArena* arena) {
   const QualityModel& model = *instance.quality_model();
-  const ShardingPlan plan =
-      ShardByRegion(instance, num_workers, num_tasks, max_deadline,
-                    /*with_task_entries=*/prebuilt == nullptr);
-  const size_t num_shards = plan.shards.size();
+  const size_t num_chunks = std::min(kScanChunks, num_workers);
 
-  // Per-shard task indexes only when no prebuilt index exists: the
-  // simulator's TaskIndexCache is maintained incrementally precisely so
-  // pair generation never re-buckets tasks, and its view is safe for
-  // concurrent queries.
-  std::vector<std::unique_ptr<SpatialIndex>> shard_indexes(
-      prebuilt == nullptr ? num_shards : 0);
-
-  // Shard arenas are created on the sequential spine (shard() is not
-  // thread-safe); inside the fan-out each shard bumps only its own.
-  for (size_t s = 0; s < num_shards; ++s) arena->shard(s);
+  // Chunk arenas are created on the sequential spine (shard() is not
+  // thread-safe); inside the fan-out each chunk bumps only its own.
+  for (size_t c = 0; c < num_chunks; ++c) arena->shard(c);
 
   WorkerCandidates* candidates =
       arena->AllocateArray<WorkerCandidates>(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) candidates[i] = {};
 
-  pool->ParallelFor(static_cast<int64_t>(num_shards), [&](int64_t s) {
-    MQA_TRACE_SPAN_ARG("pool/shard_scan", s);
-    const RegionShard& shard = plan.shards[static_cast<size_t>(s)];
-    PairArena* shard_arena = arena->shard(static_cast<size_t>(s));
-    const SpatialIndex* index = prebuilt;
-    if (index == nullptr) {
-      auto owned = CreateSpatialIndex(
-          ResolveBackend(options.backend, shard.worker_indices.size(),
-                         shard.task_entries.size()));
-      owned->BulkLoad(shard.task_entries);
-      shard_indexes[static_cast<size_t>(s)] = std::move(owned);
-      index = shard_indexes[static_cast<size_t>(s)].get();
-    }
-    // One contiguous buffer per shard; per-worker start offsets resolve
-    // to spans once the buffer stops growing (end of this item).
-    ArenaVector<Candidate> buffer(shard_arena);
-    ArenaVector<size_t> starts(shard_arena);
+  pool->ParallelFor(static_cast<int64_t>(num_chunks), [&](int64_t c) {
+    MQA_TRACE_SPAN_ARG("pool/scan", c);
+    const size_t chunk = static_cast<size_t>(c);
+    const size_t begin = num_workers * chunk / num_chunks;
+    const size_t end = num_workers * (chunk + 1) / num_chunks;
+    // One contiguous buffer per chunk; per-worker spans resolve once the
+    // buffer stops growing (end of this item).
+    ArenaVector<Candidate> buffer(arena->shard(chunk));
     std::vector<std::pair<int32_t, double>> scratch;
-    for (const int32_t wi : shard.worker_indices) {
-      starts.push_back(buffer.size());
-      CollectCandidates(instance, model, *index, static_cast<size_t>(wi),
-                        max_deadline, num_tasks, &scratch, &buffer);
+    for (size_t i = begin; i < end; ++i) {
+      const size_t before = buffer.size();
+      CollectCandidates(instance, model, index, i, max_deadline, num_tasks,
+                        &scratch, &buffer);
+      candidates[i].count = buffer.size() - before;
     }
-    for (size_t k = 0; k < shard.worker_indices.size(); ++k) {
-      const size_t wi = static_cast<size_t>(shard.worker_indices[k]);
-      const size_t end =
-          k + 1 < starts.size() ? starts[k + 1] : buffer.size();
-      candidates[wi] = {buffer.data() + starts[k], end - starts[k]};
+    const Candidate* next = buffer.data();
+    for (size_t i = begin; i < end; ++i) {
+      candidates[i].data = next;
+      next += candidates[i].count;
     }
   });
 
@@ -213,29 +242,12 @@ PairPool BuildPairPoolSharded(const ProblemInstance& instance,
 }
 
 PairPool BuildPairPoolSequential(const ProblemInstance& instance,
-                                 const PairPoolOptions& options,
-                                 const SpatialIndex* prebuilt,
+                                 const SpatialIndex& index,
                                  size_t num_workers, size_t num_tasks,
                                  double max_deadline, bool has_predicted,
                                  const BoxMoments* task_moments,
                                  PairArena* arena) {
   const QualityModel& model = *instance.quality_model();
-
-  const SpatialIndex* index = prebuilt;
-  std::unique_ptr<SpatialIndex> owned;
-  if (index == nullptr) {
-    owned = CreateSpatialIndex(
-        ResolveBackend(options.backend, num_workers, num_tasks));
-    std::vector<IndexEntry> entries;
-    entries.reserve(num_tasks);
-    for (size_t j = 0; j < num_tasks; ++j) {
-      entries.push_back({static_cast<int64_t>(j),
-                         instance.tasks()[j].location,
-                         instance.tasks()[j].deadline});
-    }
-    owned->BulkLoad(entries);
-    index = owned.get();
-  }
 
   // Pass 1: candidates of all workers, worker-major (the final pair
   // order), into one arena buffer.
@@ -246,7 +258,7 @@ PairPool BuildPairPoolSequential(const ProblemInstance& instance,
     MQA_TRACE_SPAN("pool/scan");
     std::vector<std::pair<int32_t, double>> scratch;
     for (size_t i = 0; i < num_workers; ++i) {
-      CollectCandidates(instance, model, *index, i, max_deadline, num_tasks,
+      CollectCandidates(instance, model, index, i, max_deadline, num_tasks,
                         &scratch, &buffer);
       offsets[i + 1] = buffer.size();
     }
@@ -284,8 +296,7 @@ PairPool BuildPairPool(const ProblemInstance& instance,
                                : instance.num_current_tasks();
 
   // Caller-provided index (covering *all* tasks; ids past num_tasks are
-  // filtered in the scan), or null when one must be built — per shard on
-  // the parallel path, once on the sequential path.
+  // filtered in the scan), or null when one must be built.
   const SpatialIndex* prebuilt =
       options.task_index != nullptr ? options.task_index
                                     : instance.task_index();
@@ -321,16 +332,22 @@ PairPool BuildPairPool(const ProblemInstance& instance,
                                 : instance.thread_pool();
   const auto t_build = std::chrono::steady_clock::now();
   MQA_TRACE_SPAN("pool/build");
+  std::unique_ptr<SpatialIndex> owned_index;
+  if (prebuilt == nullptr) {
+    owned_index = BuildTaskIndex(instance, options.backend, num_workers,
+                                 num_tasks, max_deadline);
+  }
+  const SpatialIndex& index = prebuilt != nullptr ? *prebuilt : *owned_index;
   const BoxMoments* task_moments =
       ComputeTaskMoments(instance, num_tasks, arena);
   PairPool pool =
       (thread_pool != nullptr && thread_pool->num_threads() > 1 &&
-       num_workers >= kMinShardableWorkers)
-          ? BuildPairPoolSharded(instance, options, prebuilt, num_workers,
-                                 num_tasks, max_deadline, has_predicted,
-                                 task_moments, thread_pool, arena)
-          : BuildPairPoolSequential(instance, options, prebuilt, num_workers,
-                                    num_tasks, max_deadline, has_predicted,
+       num_workers >= kMinParallelWorkers)
+          ? BuildPairPoolParallel(instance, index, num_workers, num_tasks,
+                                  max_deadline, has_predicted, task_moments,
+                                  thread_pool, arena)
+          : BuildPairPoolSequential(instance, index, num_workers, num_tasks,
+                                    max_deadline, has_predicted,
                                     task_moments, arena);
   pool.set_build_seconds(std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t_build)

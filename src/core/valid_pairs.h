@@ -30,12 +30,14 @@ struct PairPoolOptions {
   /// TaskIndexCache through ProblemInstance::task_index instead.
   const SpatialIndex* task_index = nullptr;
 
-  /// Thread pool for the sharded parallel builder (and, in the
-  /// divide-and-conquer assigner, for fanning out subproblem solves).
-  /// Precedence mirrors task_index: this field, then the instance's
-  /// thread_pool(). Null (the default) or a 1-thread pool selects the
-  /// sequential path; the parallel path produces a byte-identical pool
-  /// (see src/exec/README.md for the determinism contract).
+  /// Thread pool for the parallel builder, which scans fixed worker
+  /// chunks against one shared task index and then fills the columns per
+  /// worker (and, in the divide-and-conquer assigner, for fanning out
+  /// subproblem solves). Precedence mirrors task_index: this field, then
+  /// the instance's thread_pool(). Null (the default) or a 1-thread pool
+  /// selects the sequential path; the parallel path produces a
+  /// byte-identical pool (see src/exec/README.md for the determinism
+  /// contract).
   ThreadPool* thread_pool = nullptr;
 
   /// Arena backing the pool's columns, CSR adjacency and build scratch.
@@ -43,8 +45,8 @@ struct PairPoolOptions {
   /// default) gives the pool a private arena. An external arena must
   /// outlive the pool and is *not* Reset here — the owner (sim/
   /// EpochRunner) resets it once per epoch, which is what makes the
-  /// steady state allocation-free. On the parallel path, per-shard
-  /// sub-arenas of this arena pin the candidate scratch to shards.
+  /// steady state allocation-free. On the parallel path, one sub-arena
+  /// (PairArena::shard) per worker chunk holds that chunk's candidates.
   PairArena* arena = nullptr;
 
   /// Materialize every referenced Case 1-3 quality/existence distribution

@@ -17,15 +17,15 @@ namespace mqa {
 /// pays malloc/free only while the arena is still growing toward the
 /// epoch high-water mark — steady state allocates nothing.
 ///
-/// Shard arenas: the parallel pair builder pins one sub-arena per region
-/// shard (shard(i)) so concurrent candidate collection never contends on
+/// Shard arenas: the parallel pair builder pins one sub-arena per worker
+/// chunk (shard(i)) so concurrent candidate collection never contends on
 /// one cursor or on the global allocator. Sub-arenas are owned by (and
 /// Reset with) the parent and are counted in its metrics.
 ///
 /// Thread-safety: Allocate/Reset/shard are NOT thread-safe. The intended
 /// discipline (see src/core/README.md) is: the build's sequential spine
 /// allocates columns and creates the shard arenas up front; inside a
-/// parallel region each shard allocates only from its own shard arena.
+/// parallel region each chunk allocates only from its own shard arena.
 ///
 /// Lifetime: memory handed out stays valid until Reset() or destruction —
 /// a PairPool built from an external arena must be dropped before the
@@ -88,7 +88,8 @@ class PairArena {
 /// PairArena: push_back bumps; growth allocates a doubled block from the
 /// arena and memcpys (the old block is reclaimed only at arena Reset, so
 /// transient waste is bounded by ~2x and recycled per epoch). Used for
-/// the per-shard candidate buffers of the parallel pair builder.
+/// the candidate buffers of the pair builder (one per worker chunk on the
+/// parallel path).
 template <typename T>
 class ArenaVector {
   static_assert(std::is_trivially_copyable_v<T>,

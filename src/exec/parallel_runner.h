@@ -16,8 +16,8 @@ namespace mqa {
 /// determinism anchor the property tests compare against.
 ///
 /// Determinism contract (see src/exec/README.md): work is always split
-/// into shards/subproblems whose *content* depends only on the input
-/// (RegionSharder plans, D&C decompositions), results are written into
+/// into pieces whose *content* depends only on the input (fixed worker
+/// chunks of the pair scan, D&C decompositions), results are written into
 /// per-index slots, and every reduction happens afterwards in stable
 /// index order on one thread. Thread count therefore changes wall-clock
 /// time and nothing else — assignments, scores, and simulator metrics are

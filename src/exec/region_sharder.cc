@@ -1,144 +1,6 @@
 #include "exec/region_sharder.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/logging.h"
-
 namespace mqa {
-
-namespace {
-
-// Region side length targets a few dozen workers per shard: enough
-// shards to keep 8+ threads busy from a few hundred workers up, few
-// enough that per-shard setup stays negligible. Border-band duplication
-// is controlled separately by the max-reach cap (see the header).
-constexpr size_t kTargetWorkersPerShard = 64;
-constexpr int kMaxRegionsPerSide = 32;
-
-int RegionCoord(double v, int side) {
-  const double clamped = std::clamp(v, 0.0, 1.0);
-  return std::min(static_cast<int>(clamped * static_cast<double>(side)),
-                  side - 1);
-}
-
-// How far `box` extends outside `region`, per axis (0 for a worker whose
-// whole location box sits inside its region — always true for current
-// workers, whose boxes are points at their center).
-double Overhang(const BBox& box, const BBox& region) {
-  const double dx = std::max({0.0, region.lo().x - box.lo().x,
-                              box.hi().x - region.hi().x});
-  const double dy = std::max({0.0, region.lo().y - box.lo().y,
-                              box.hi().y - region.hi().y});
-  return std::max(dx, dy);
-}
-
-}  // namespace
-
-int SuggestRegionsPerSide(size_t num_workers, double max_reach) {
-  const size_t shards =
-      (num_workers + kTargetWorkersPerShard - 1) / kTargetWorkersPerShard;
-  int side = static_cast<int>(
-      std::ceil(std::sqrt(static_cast<double>(std::max<size_t>(shards, 1)))));
-  if (num_workers >= kMinShardableWorkers) side = std::max(side, 2);
-  side = std::min(side, kMaxRegionsPerSide);
-  if (max_reach > 0.0) {
-    // Compare in the double domain first: 1/max_reach can exceed INT_MAX
-    // for tiny reaches, and casting such a double to int is undefined
-    // behavior. The cap only matters when it is below the current side.
-    const double cap = 1.0 / max_reach;
-    if (cap < static_cast<double>(side)) {
-      side = std::max(1, static_cast<int>(cap));
-    }
-  }
-  return side;
-}
-
-ShardingPlan ShardByRegion(const ProblemInstance& instance,
-                           size_t num_workers, size_t num_tasks,
-                           double max_deadline, bool with_task_entries) {
-  MQA_CHECK(num_workers <= instance.workers().size());
-  MQA_CHECK(num_tasks <= instance.tasks().size());
-
-  double max_reach = 0.0;
-  for (size_t i = 0; i < num_workers; ++i) {
-    max_reach = std::max(
-        max_reach, ReachRadius(instance.workers()[i], max_deadline));
-  }
-
-  ShardingPlan plan;
-  plan.regions_per_side = SuggestRegionsPerSide(num_workers, max_reach);
-  const int side = plan.regions_per_side;
-  const double cell = 1.0 / static_cast<double>(side);
-
-  // Region grid in row-major order; shards for empty regions are dropped
-  // after workers are distributed.
-  std::vector<RegionShard> grid(static_cast<size_t>(side) *
-                                static_cast<size_t>(side));
-  for (int ry = 0; ry < side; ++ry) {
-    for (int rx = 0; rx < side; ++rx) {
-      grid[static_cast<size_t>(ry) * static_cast<size_t>(side) +
-           static_cast<size_t>(rx)]
-          .region = BBox({rx * cell, ry * cell}, {(rx + 1) * cell,
-                                                  (ry + 1) * cell});
-    }
-  }
-
-  // Workers partition by center point; the band accumulates each owned
-  // worker's reach radius plus its box overhang past the region, so the
-  // expanded region covers everything any owned worker can reach.
-  for (size_t i = 0; i < num_workers; ++i) {
-    const Worker& w = instance.workers()[i];
-    const Point c = w.Center();
-    RegionShard& shard =
-        grid[static_cast<size_t>(RegionCoord(c.y, side)) *
-                 static_cast<size_t>(side) +
-             static_cast<size_t>(RegionCoord(c.x, side))];
-    shard.worker_indices.push_back(static_cast<int32_t>(i));
-    shard.band = std::max(shard.band, ReachRadius(w, max_deadline) +
-                                          Overhang(w.location, shard.region));
-  }
-
-  double max_band = 0.0;
-  for (const RegionShard& shard : grid) max_band = std::max(max_band, shard.band);
-
-  // Tasks replicate into every shard whose expanded region their box
-  // touches. The outer bound (max_band) limits the region range scanned
-  // per task; the exact per-shard test uses that shard's own band.
-  for (size_t j = 0; with_task_entries && j < num_tasks; ++j) {
-    const Task& t = instance.tasks()[j];
-    const BBox reach = t.location.Expanded(max_band);
-    // One extra region on every side: RegionCoord maps a coordinate
-    // lying exactly on a region boundary to the higher region, which
-    // would exclude a region touching the reach box only at that
-    // boundary — yet the inclusive Intersects/CanReach tests accept such
-    // exact-distance pairs. The per-shard test below rejects the extras.
-    const int rx0 = std::max(RegionCoord(reach.lo().x, side) - 1, 0);
-    const int rx1 = std::min(RegionCoord(reach.hi().x, side) + 1, side - 1);
-    const int ry0 = std::max(RegionCoord(reach.lo().y, side) - 1, 0);
-    const int ry1 = std::min(RegionCoord(reach.hi().y, side) + 1, side - 1);
-    for (int ry = ry0; ry <= ry1; ++ry) {
-      for (int rx = rx0; rx <= rx1; ++rx) {
-        RegionShard& shard =
-            grid[static_cast<size_t>(ry) * static_cast<size_t>(side) +
-                 static_cast<size_t>(rx)];
-        if (shard.worker_indices.empty()) continue;
-        if (!shard.region.Expanded(shard.band).Intersects(t.location)) {
-          continue;
-        }
-        shard.task_entries.push_back(
-            {static_cast<int64_t>(j), t.location, t.deadline});
-      }
-    }
-  }
-
-  plan.shards.reserve(grid.size());
-  for (RegionShard& shard : grid) {
-    if (shard.worker_indices.empty()) continue;
-    plan.shards.push_back(std::move(shard));
-  }
-  return plan;
-}
 
 uint64_t ShardSeed(uint64_t instance_seed, int64_t shard) {
   // SplitMix64 (Steele et al.) over the combined word: cheap, and any two

@@ -2,89 +2,13 @@
 #define MQA_EXEC_REGION_SHARDER_H_
 
 #include <cstdint>
-#include <vector>
-
-#include "index/spatial_index.h"
-#include "model/problem_instance.h"
 
 namespace mqa {
 
-/// One shard of a ProblemInstance: the workers whose center points fall
-/// into one region (a cell of a regions_per_side x regions_per_side cut
-/// of the unit data space) plus the tasks any of those workers could
-/// reach — the region box expanded by the shard's border band.
-struct RegionShard {
-  /// The owned region of the data space (workers are partitioned by it).
-  BBox region;
-
-  /// Reach-overlap margin: max over the shard's workers of
-  /// ReachRadius(w, max_deadline) plus how far w's location box overhangs
-  /// the region. Every task within MinDistance <= ReachRadius of a shard
-  /// worker's box lies inside region.Expanded(band).
-  double band = 0.0;
-
-  /// Global worker indices owned by this shard, ascending.
-  std::vector<int32_t> worker_indices;
-
-  /// Tasks overlapping region.Expanded(band); entry ids are global task
-  /// indices, preserving each task's deadline for index-level pruning.
-  /// A task near a region border appears in several shards.
-  std::vector<IndexEntry> task_entries;
-};
-
-/// A deterministic decomposition of a ProblemInstance into region shards.
-/// The plan depends only on the instance (never on the thread count), so
-/// any per-shard derived state — RNG streams, shard-local indexes — is
-/// identical no matter how many threads later execute the shards.
-struct ShardingPlan {
-  int regions_per_side = 0;
-  /// Row-major region order; regions that own no worker are dropped.
-  std::vector<RegionShard> shards;
-};
-
-/// Number of workers at/above which the sharded parallel paths engage
-/// (below it their setup costs more than they parallelize) — and at
-/// which SuggestRegionsPerSide guarantees more than one shard, so the
-/// parallel path never degenerates to one serial scan item.
-inline constexpr size_t kMinShardableWorkers = 32;
-
-/// Region resolution for `num_workers` participating workers whose
-/// largest reach radius is `max_reach`: roughly
-/// sqrt(num_workers / target-per-shard) regions per side, at least 2
-/// once kMinShardableWorkers is met, clamped to [1, 32] — and capped at
-/// ~1/max_reach, because the border band replicates every task within
-/// `band` of a region into it, so cutting regions much finer than the
-/// reach radius multiplies task duplication without localizing anything
-/// (the paper-velocity regime, where reach spans half the data space,
-/// caps at a single shard; pair materialization still parallelizes per
-/// worker there). Exposed so tests and benches can reason about shard
-/// counts.
-int SuggestRegionsPerSide(size_t num_workers, double max_reach);
-
-/// Partitions the first `num_workers` workers and `num_tasks` tasks of
-/// `instance` (the participating prefix, as in BuildPairPool) into region
-/// shards. `max_deadline` must bound the participating tasks' deadlines —
-/// it sizes each shard's border band via ReachRadius. Pass
-/// `with_task_entries = false` to skip collecting task entries (cheaper)
-/// when the shards will query a shared prebuilt index instead of building
-/// their own.
-///
-/// Invariants (property-tested in tests/exec_test.cc):
-///  * every participating worker appears in exactly one shard, and the
-///    concatenation of shard worker lists in plan order is a permutation
-///    of [0, num_workers);
-///  * for every shard worker w, every participating task t with
-///    MinDistance(w.location, t.location) <= ReachRadius(w, max_deadline)
-///    is in the shard's task_entries (when collected).
-ShardingPlan ShardByRegion(const ProblemInstance& instance,
-                           size_t num_workers, size_t num_tasks,
-                           double max_deadline,
-                           bool with_task_entries = true);
-
 /// Deterministic per-shard RNG stream seed derived from an instance seed
 /// (SplitMix64 over seed + shard), so sharded randomized stages draw from
-/// independent streams that depend only on the plan, not on which thread
-/// runs the shard.
+/// independent streams that depend only on the shard index, not on which
+/// thread runs the shard.
 uint64_t ShardSeed(uint64_t instance_seed, int64_t shard);
 
 }  // namespace mqa

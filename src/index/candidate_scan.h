@@ -13,8 +13,8 @@ namespace mqa {
 
 /// The candidate-task scan shared by BuildPairPool and PairStatistics:
 /// one deadline-aware radius query (QueryReachable with the worker's
-/// velocity, bounded by ReachRadius(worker, max_deadline) — a superset of
-/// the CanReach reachability bound) dropping entry ids >= `id_limit`
+/// velocity, bounded by velocity * max_deadline — a superset of the
+/// CanReach reachability bound) dropping entry ids >= `id_limit`
 /// (an external index may cover more tasks than participate), then
 /// visiting survivors as fn(task_index, min_dist) in ascending id order.
 /// The sort keeps pools and statistics bit-identical across backends and

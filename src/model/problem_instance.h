@@ -65,8 +65,8 @@ class ProblemInstance {
   const SpatialIndex* task_index() const { return task_index_; }
   void set_task_index(const SpatialIndex* index) { task_index_ = index; }
 
-  /// Optional thread pool the assigner may fan work across (sharded pair
-  /// generation, divide-and-conquer subproblems); nullptr — the default —
+  /// Optional thread pool the assigner may fan work across (the pair
+  /// scan and fill, divide-and-conquer subproblems); nullptr — the default —
   /// selects the sequential code paths. Non-owning, must outlive the
   /// instance; the simulator points this at the pool of its
   /// SimulatorConfig::num_threads runner. Thread count never changes

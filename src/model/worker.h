@@ -31,15 +31,6 @@ struct Worker {
   Point Center() const { return location.Center(); }
 };
 
-/// The candidate radius spatial-index queries use for a worker:
-/// velocity * max_deadline, the largest distance any CanReach-valid task
-/// can be at when `max_deadline` bounds the candidate tasks' deadlines.
-/// Negative velocities yield 0.
-inline double ReachRadius(const Worker& worker, double max_deadline) {
-  const double r = worker.velocity * max_deadline;
-  return r > 0.0 ? r : 0.0;
-}
-
 inline std::ostream& operator<<(std::ostream& os, const Worker& w) {
   return os << (w.predicted ? "ŵ" : "w") << w.id << "@" << w.location
             << " v=" << w.velocity;

@@ -248,6 +248,11 @@ void RunReport::SetConfig(const std::string& key, int64_t value) {
   config_[key] = std::to_string(value);
 }
 
+void RunReport::SetConfig(const std::string& key, uint64_t value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  config_[key] = std::to_string(value);
+}
+
 void RunReport::SetConfig(const std::string& key, double value) {
   std::ostringstream formatted;
   WriteDouble(formatted, value);

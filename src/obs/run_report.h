@@ -51,11 +51,17 @@ class RunReport {
  public:
   static RunReport& Get();
 
-  /// Records one config key. String values are JSON-quoted; the int64 /
-  /// double overloads store bare numbers. Last write per key wins; keys
-  /// export sorted.
+  /// Records one config key. String values are JSON-quoted; the integer
+  /// and double overloads store bare numbers (a uint64_t, such as a seed,
+  /// in its exact unsigned decimal). Last write per key wins; keys export
+  /// sorted. The const char* overload keeps a string literal from binding
+  /// to the bool overload.
   void SetConfig(const std::string& key, const std::string& value);
+  void SetConfig(const std::string& key, const char* value) {
+    SetConfig(key, std::string(value));
+  }
   void SetConfig(const std::string& key, int64_t value);
+  void SetConfig(const std::string& key, uint64_t value);
   void SetConfig(const std::string& key, double value);
   void SetConfig(const std::string& key, bool value);
 

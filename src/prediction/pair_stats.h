@@ -35,8 +35,8 @@ class PairStatistics {
   /// Same scan, but candidate tasks per worker come from radius queries
   /// over `task_index` (entry ids = task indices; may cover predicted
   /// tasks too — ids past the current range are skipped) with radius
-  /// ReachRadius(worker, max_deadline), so the scan is sublinear instead
-  /// of |W_p| x |T_p|. Statistics are identical to the plain scan: the
+  /// velocity * max_deadline, so the scan is sublinear instead of
+  /// |W_p| x |T_p|. Statistics are identical to the plain scan: the
   /// per-worker candidates are sorted, preserving accumulation order.
   /// BuildPairPool uses this with the index it already has.
   PairStatistics(const ProblemInstance& instance,

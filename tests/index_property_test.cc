@@ -2,7 +2,7 @@
 // instances across velocity/deadline/budget/gamma ranges, BuildPairPool
 // must produce the *identical* pair pool (same pair order, indices,
 // costs, qualities, existence, adjacency) whichever backend enumerates
-// the candidates — brute force, grid, or R*-tree, sequential or sharded
+// the candidates — brute force, grid, or R*-tree, sequential or parallel
 // across any thread count — including through the simulator's
 // incrementally maintained TaskIndexCache.
 
@@ -200,9 +200,9 @@ ProblemInstance SkewedMixedInstance(Rng* rng, const QualityModel* quality,
 TEST(PairPoolBackendProperty, AllBackendsMatchOnSkewedWorkloadsAcrossThreads) {
   // The acceptance property of the R*-tree PR: BuildPairPool output is
   // byte-identical across {brute, grid, rtree} on uniform, Zipf and
-  // Gaussian-cluster workloads, sequential and sharded over {2, 4, 8}
-  // threads (80 workers clears kMinShardableWorkers, so >1-thread pools
-  // take the parallel builder for real).
+  // Gaussian-cluster workloads, sequential and parallel over {2, 4, 8}
+  // threads (80 workers clears the parallel builder's 32-worker
+  // threshold, so >1-thread pools take the parallel builder for real).
   const RangeQualityModel quality(1.0, 2.0);
   SpatialDistConfig uniform;
   SpatialDistConfig zipf;

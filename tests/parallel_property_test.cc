@@ -16,8 +16,8 @@
 #include "core/assigner.h"
 #include "core/valid_pairs.h"
 #include "exec/parallel_runner.h"
-#include "exec/region_sharder.h"
 #include "index/grid_index.h"
+#include "obs/trace.h"
 #include "quality/range_quality.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
@@ -26,6 +26,7 @@
 namespace mqa {
 namespace {
 
+using testing_util::ConstantQualityModel;
 using testing_util::MakePredictedTask;
 using testing_util::MakePredictedWorker;
 using testing_util::MakeTask;
@@ -84,8 +85,8 @@ void ExpectSameAssignment(const AssignmentResult& a,
   EXPECT_EQ(a.total_cost, b.total_cost);
 }
 
-/// A mixed current/predicted instance large enough to engage the sharded
-/// path (>= kMinParallelWorkers) across several regions.
+/// A mixed current/predicted instance large enough to engage the parallel
+/// path (>= 32 workers) over several scan chunks.
 ProblemInstance MixedInstance(Rng* rng, const QualityModel* quality,
                               int num_workers, int num_tasks, int num_pred,
                               double velocity_hi, double budget) {
@@ -139,48 +140,136 @@ TEST(ParallelPairPoolProperty, PoolIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelPairPoolProperty, MultiShardPathIsExercisedAndIdentical) {
-  // Guaranteed multi-shard end-to-end coverage: hyperlocal velocities
-  // keep the reach cap high, and 600 workers push the region resolution
-  // well past one shard — so border-band task replication into per-shard
-  // indexes is on the tested path, not just ShardByRegion in isolation.
+/// Number of `pool/scan` spans a traced BuildPairPool emits.
+int CountScanSpans(const ProblemInstance& inst,
+                   const PairPoolOptions& options) {
+  Tracer& tracer = Tracer::Get();
+  tracer.Reset();
+  tracer.Enable();
+  { const PairPool pool = BuildPairPool(inst, options); }
+  tracer.Disable();
+  const std::string json = tracer.ToJsonString();
+  tracer.Reset();
+  const std::string needle = "\"name\":\"pool/scan\"";
+  int count = 0;
+  for (size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ParallelPairPoolProperty, MultiChunkPaperVelocityScanIsIdentical) {
+  // The paper regime (v in [0.2, 0.3], e in [1, 2]), where a worker's
+  // reach spans over half the data space: the scan must still fan out
+  // over several worker chunks and still match the sequential builder,
+  // with the builder's own index and with a caller's prebuilt one.
   const RangeQualityModel quality(1.0, 2.0, 7);
   Rng rng(77);
   std::vector<Worker> workers;
   for (int i = 0; i < 600; ++i) {
     workers.push_back(MakeWorker(i, rng.Uniform(), rng.Uniform(),
-                                 rng.Uniform(0.02, 0.08)));
+                                 rng.Uniform(0.2, 0.3)));
+  }
+  for (int i = 0; i < 40; ++i) {
+    workers.push_back(MakePredictedWorker(
+        5000 + i,
+        BBox::KernelBox({rng.Uniform(), rng.Uniform()}, 0.05, 0.05),
+        rng.Uniform(0.2, 0.3)));
   }
   std::vector<Task> tasks;
   for (int j = 0; j < 500; ++j) {
     tasks.push_back(MakeTask(j, rng.Uniform(), rng.Uniform(),
-                             rng.Uniform(0.2, 1.5)));
+                             rng.Uniform(1.0, 2.0)));
   }
   for (int j = 0; j < 60; ++j) {
     tasks.push_back(MakePredictedTask(
         5000 + j,
         BBox::KernelBox({rng.Uniform(), rng.Uniform()}, 0.05, 0.05),
-        rng.Uniform(0.2, 1.5)));
+        rng.Uniform(1.0, 2.0)));
   }
   const ProblemInstance inst(std::move(workers), 600, std::move(tasks), 500,
                              &quality, 1.0, 10.0);
 
-  const ShardingPlan plan =
-      ShardByRegion(inst, inst.workers().size(), inst.tasks().size(), 1.5);
-  ASSERT_GT(plan.shards.size(), 4u) << "instance must span several shards";
+  GridIndex index;
+  std::vector<IndexEntry> entries;
+  for (size_t j = 0; j < inst.tasks().size(); ++j) {
+    entries.push_back({static_cast<int64_t>(j), inst.tasks()[j].location,
+                       inst.tasks()[j].deadline});
+  }
+  index.BulkLoad(entries);
 
   const PairPool sequential = BuildPairPool(inst, PairPoolOptions{});
-  for (const int threads : kThreadCounts) {
-    ParallelRunner runner(threads);
-    PairPoolOptions options;
-    options.thread_pool = runner.pool();
-    ExpectSamePool(sequential, BuildPairPool(inst, options));
+  ASSERT_GT(sequential.size(), 0u);
+  for (const SpatialIndex* prebuilt :
+       {static_cast<const SpatialIndex*>(nullptr),
+        static_cast<const SpatialIndex*>(&index)}) {
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads
+                   << " prebuilt=" << (prebuilt != nullptr));
+      ParallelRunner runner(threads);
+      PairPoolOptions options;
+      options.task_index = prebuilt;
+      options.thread_pool = runner.pool();
+      ExpectSamePool(sequential, BuildPairPool(inst, options));
+      if (threads > 1) {
+        EXPECT_GT(CountScanSpans(inst, options), 1)
+            << "the paper-regime scan ran as one serial item";
+      }
+    }
+  }
+}
+
+TEST(ParallelPairPoolProperty, TaskExactlyAtReachDistanceIsInThePool) {
+  // Reachability is inclusive (min_dist <= velocity * deadline), and the
+  // parallel scan must keep a pair whose task sits exactly on that
+  // boundary, on every backend and thread count. All coordinates are
+  // dyadic, so the distances below are exact in floating point.
+  const ConstantQualityModel quality(1.0);
+  std::vector<Worker> workers;
+  // Worker 0 reaches task 0 at exactly 0.25 = 0.25 * 1.0.
+  workers.push_back(MakeWorker(0, 0.25, 0.5, 0.25));
+  // Inert workers (velocity 0 reaches nothing) lift the count past the
+  // parallel threshold, one worker per scan chunk.
+  for (int i = 1; i < 63; ++i) {
+    workers.push_back(MakeWorker(i, 0.75, 0.75, 0.0));
+  }
+  // A predicted worker whose box edge x = 0.25 is exactly 0.25 from the
+  // predicted task 2.
+  workers.push_back(MakePredictedWorker(
+      900, BBox({0.125, 0.125}, {0.25, 0.25}), 0.25));
+  std::vector<Task> tasks;
+  tasks.push_back(MakeTask(0, 0.5, 0.5, 1.0));
+  // One ulp-scale step past worker 0's reach: never a pair.
+  tasks.push_back(MakeTask(1, 0.5 + 0x1p-30, 0.5, 1.0));
+  tasks.push_back(MakePredictedTask(2, BBox::FromPoint({0.5, 0.1875}), 1.0));
+  const ProblemInstance inst(std::move(workers), 63, std::move(tasks), 2,
+                             &quality, 1.0, 10.0);
+
+  for (const IndexBackend backend :
+       {IndexBackend::kBruteForce, IndexBackend::kGrid, IndexBackend::kRTree}) {
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads
+                   << " backend=" << static_cast<int>(backend));
+      ParallelRunner runner(threads);
+      PairPoolOptions options;
+      options.backend = backend;
+      options.thread_pool = runner.pool();
+      const PairPool pool = BuildPairPool(inst, options);
+      ASSERT_EQ(pool.size(), 2u);
+      EXPECT_EQ(pool.GetPair(0).worker_index, 0);
+      EXPECT_EQ(pool.GetPair(0).task_index, 0);
+      EXPECT_EQ(pool.GetPair(1).worker_index, 63);
+      EXPECT_EQ(pool.GetPair(1).task_index, 2);
+    }
   }
 }
 
 TEST(ParallelPairPoolProperty, PrebuiltIndexPathMatchesToo) {
   // The simulator path: a shared (cache-style) index queried concurrently
-  // by every shard instead of per-shard indexes.
+  // by every scan chunk.
   const RangeQualityModel quality(1.0, 2.0, 7);
   Rng rng(32);
   const ProblemInstance inst =
@@ -272,7 +361,7 @@ void ExpectSameSummary(const SimulationSummary& a,
 }
 
 // The full pipeline through the simulator, including the incrementally
-// maintained TaskIndexCache queried concurrently by shards.
+// maintained TaskIndexCache queried concurrently by the scan chunks.
 TEST(ParallelSimulatorProperty, MetricsAreByteIdenticalAcrossThreads) {
   const ArrivalStream stream =
       testing_util::SmallSyntheticStream(400, 400, 5, 23);
