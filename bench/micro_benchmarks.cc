@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the core primitives: closed-form
 // distance statistics, Eq. 7 comparison probabilities, the greedy
-// selection loop, pair-pool construction, grid prediction, and one greedy
-// assignment round. These quantify the per-operation costs behind the
+// selection loop (whole pools and single-task D&C leaves), the D&C merge,
+// pair-pool construction, grid prediction, and one greedy assignment
+// round. These quantify the per-operation costs behind the
 // figure-level benches.
 
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "core/budget.h"
 #include "core/comparators.h"
 #include "core/greedy.h"
+#include "core/merge.h"
 #include "core/valid_pairs.h"
 #include "prediction/predictor.h"
 #include "quality/range_quality.h"
@@ -102,26 +104,30 @@ void BM_ProbQualityGreater(benchmark::State& state) {
 BENCHMARK(BM_ProbQualityGreater);
 
 // One full greedy selection loop (skyline walk + Eq. 10 per iteration)
-// over n random pairs on n/8 workers and tasks — eight candidate pairs
-// per worker, as in the paper's dense regime. The budget is ample, so the
-// loop runs until every reachable endpoint is used.
+// over n random pairs on `tasks` tasks. With several tasks the pairs sit
+// on n/8 workers — eight candidate pairs per worker, as in the paper's
+// dense regime; one task is a D&C leaf, one task row with a pair per
+// worker. The budget is ample, so the loop runs until every reachable
+// endpoint is used.
 void BM_GreedySelect(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const int m = n / 8;
+  const int tasks = static_cast<int>(state.range(1));
+  const int workers = tasks == 1 ? n : n / 8;
   Rng rng(11);
-  PairPoolBuilder builder(static_cast<size_t>(m), static_cast<size_t>(m));
+  PairPoolBuilder builder(static_cast<size_t>(workers),
+                          static_cast<size_t>(tasks));
   for (int i = 0; i < n; ++i) {
     CandidatePair p = RandomPair(&rng);
-    p.worker_index = i % m;
-    p.task_index = static_cast<int32_t>(rng.UniformInt(0, m - 1));
+    p.worker_index = i % workers;
+    p.task_index = static_cast<int32_t>(rng.UniformInt(0, tasks - 1));
     builder.Add(p);
   }
   const PairPool pool = std::move(builder).Build();
   std::vector<int32_t> ids(pool.size());
   for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
   for (auto _ : state) {
-    std::vector<char> worker_used(static_cast<size_t>(m), 0);
-    std::vector<char> task_used(static_cast<size_t>(m), 0);
+    std::vector<char> worker_used(static_cast<size_t>(workers), 0);
+    std::vector<char> task_used(static_cast<size_t>(tasks), 0);
     BudgetTracker budget(1e9, 0.5);
     std::vector<int32_t> selected;
     GreedySelect(pool, ids, &worker_used, &task_used, &budget, &selected);
@@ -130,10 +136,57 @@ void BM_GreedySelect(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GreedySelect)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
+    ->Args({64, 1})
+    ->Args({1000, 125})
+    ->Args({10000, 1250})
+    ->Args({100000, 12500})
+    ->Unit(benchmark::kMicrosecond);
+
+// One D&C node's merge: `tasks` tasks split into 8 disjoint groups, each
+// group's result a random partial matching on a shared set of tasks/4
+// workers, merged in decomposition order into an empty assignment, so
+// workers collide across groups (MQA_Merge's conflict path).
+void BM_MergeResults(benchmark::State& state) {
+  const int tasks = static_cast<int>(state.range(0));
+  const int workers = tasks / 4;
+  constexpr int kGroups = 8;
+  Rng rng(17);
+  PairPoolBuilder builder(static_cast<size_t>(workers),
+                          static_cast<size_t>(tasks));
+  for (int t = 0; t < tasks; ++t) {
+    for (int k = 0; k < 8; ++k) {
+      CandidatePair p = RandomPair(&rng);
+      p.worker_index = static_cast<int32_t>(rng.UniformInt(0, workers - 1));
+      p.task_index = t;
+      builder.Add(p);
+    }
+  }
+  const PairPool pool = std::move(builder).Build();
+  std::vector<std::vector<int32_t>> results(kGroups);
+  int64_t incoming = 0;
+  for (int g = 0; g < kGroups; ++g) {
+    std::vector<char> taken(static_cast<size_t>(workers), 0);
+    for (int t = tasks * g / kGroups; t < tasks * (g + 1) / kGroups; ++t) {
+      const PairIdSpan row = pool.PairsByTask(t);
+      const int32_t id = row[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(row.size()) - 1))];
+      char& used = taken[static_cast<size_t>(pool.WorkerIndex(id))];
+      if (used) continue;
+      used = 1;
+      results[static_cast<size_t>(g)].push_back(id);
+      ++incoming;
+    }
+  }
+  for (auto _ : state) {
+    std::vector<int32_t> merged;
+    for (const std::vector<int32_t>& result : results) {
+      MergeResults(pool, &merged, result);
+    }
+    benchmark::DoNotOptimize(merged.size());
+  }
+  state.SetItemsProcessed(state.iterations() * incoming);
+}
+BENCHMARK(BM_MergeResults)->Arg(64)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 ProblemInstance BenchInstance(int n, const RangeQualityModel* quality,
                               std::vector<Worker>* workers,

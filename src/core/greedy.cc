@@ -20,37 +20,36 @@ constexpr double kDead = std::numeric_limits<double>::infinity();
 
 SkylineWalk::SkylineWalk(const PairPool& pool,
                          const std::vector<int32_t>& pair_ids)
-    : pool_(pool), order_(pair_ids.size()) {
-  {
-    // Quality means up front: a lazy-table lookup per comparison is slow.
-    std::vector<double> quality(pair_ids.size());
-    for (size_t k = 0; k < pair_ids.size(); ++k) {
-      quality[k] = pool.QualityMean(pair_ids[k]);
-      order_[k] = static_cast<int32_t>(k);
-    }
-    std::sort(order_.begin(), order_.end(), [&](int32_t a, int32_t b) {
-      const double qa = quality[static_cast<size_t>(a)];
-      const double qb = quality[static_cast<size_t>(b)];
-      if (qa != qb) return qa > qb;
-      const int32_t ia = pair_ids[static_cast<size_t>(a)];
-      const int32_t ib = pair_ids[static_cast<size_t>(b)];
-      if (pool.CostMean(ia) != pool.CostMean(ib)) {
-        return pool.CostMean(ia) < pool.CostMean(ib);
-      }
-      return ia < ib;
-    });
-    for (int32_t& k : order_) k = pair_ids[static_cast<size_t>(k)];
+    : pool_(pool) {
+  // Contiguous keys with each quality mean read once: a comparator that
+  // looks quality up in the pool's (lazy) tables is slow. Rounding to
+  // float is monotone, so unequal cost hints order two costs exactly and
+  // only equal hints need the pool's double.
+  keys_.reserve(pair_ids.size());
+  for (const int32_t id : pair_ids) {
+    keys_.push_back(
+        {pool.QualityMean(id), id, static_cast<float>(pool.CostMean(id))});
   }
-  const size_t blocks = (order_.size() + kBlock - 1) / kBlock;
+  std::sort(keys_.begin(), keys_.end(), [&pool](const Key& a, const Key& b) {
+    if (a.value != b.value) return a.value > b.value;
+    if (a.cost_hint != b.cost_hint) return a.cost_hint < b.cost_hint;
+    const double ca = pool.CostMean(a.id);
+    const double cb = pool.CostMean(b.id);
+    if (ca != cb) return ca < cb;
+    return a.id < b.id;
+  });
+  for (Key& key : keys_) key.value = pool.CostMean(key.id);
+
+  const size_t blocks = (keys_.size() + kBlock - 1) / kBlock;
   while (leaves_ < blocks) leaves_ *= 2;
   live_.assign(blocks, 0xFFFF);
-  if (const size_t tail = order_.size() % kBlock; tail != 0) {
+  if (const size_t tail = keys_.size() % kBlock; tail != 0) {
     live_.back() = static_cast<uint16_t>((1u << tail) - 1);
   }
   tree_.assign(2 * leaves_, kDead);
-  for (size_t p = 0; p < order_.size(); ++p) {
+  for (size_t p = 0; p < keys_.size(); ++p) {
     double& leaf = tree_[leaves_ + p / kBlock];
-    leaf = std::min(leaf, pool.CostMean(order_[p]));
+    leaf = std::min(leaf, keys_[p].value);
   }
   for (size_t i = leaves_ - 1; i >= 1; --i) {
     tree_[i] = std::min(tree_[2 * i], tree_[2 * i + 1]);
@@ -63,7 +62,7 @@ size_t SkylineWalk::NextAtMost(size_t pos, double threshold) const {
   for (size_t b = pos / kBlock; b < live_.size(); from = 0xFFFFu) {
     for (uint32_t m = live_[b] & from; m != 0; m &= m - 1) {
       const size_t p = b * kBlock + static_cast<size_t>(__builtin_ctz(m));
-      if (pool_.CostMean(order_[p]) <= threshold) return p;
+      if (keys_[p].value <= threshold) return p;
     }
     // Climb to the first subtree right of block b whose minimum
     // qualifies, then descend to its leftmost qualifying block.
@@ -85,7 +84,7 @@ void SkylineWalk::Kill(size_t pos) {
   double block_min = kDead;
   for (uint32_t m = live_[b]; m != 0; m &= m - 1) {
     const size_t p = b * kBlock + static_cast<size_t>(__builtin_ctz(m));
-    block_min = std::min(block_min, pool_.CostMean(order_[p]));
+    block_min = std::min(block_min, keys_[p].value);
   }
   for (size_t i = leaves_ + b; i >= 1 && tree_[i] != block_min; i /= 2) {
     tree_[i] = block_min;
@@ -106,16 +105,17 @@ int64_t SkylineWalk::Walk(const std::vector<char>& worker_used,
   size_t pos = 0;
   while ((pos = NextAtMost(pos, threshold)) != kNone) {
     ++steps;
-    const PairRef pair = pool_.pair(order_[pos]);
+    const PairRef pair = pool_.pair(keys_[pos].id);
     if (worker_used[static_cast<size_t>(pair.worker_index())] ||
         task_used[static_cast<size_t>(pair.task_index())] ||
         budget.QuickReject(pair)) {
       Kill(pos);
       continue;
     }
+    const double cost = keys_[pos].value;
     ++pos;
-    if (pair.cost_mean() < threshold) {
-      threshold = pair.cost_mean();
+    if (cost < threshold) {
+      threshold = cost;
       group = skyline->size();
     }
     // On a cost tie only the equal-cost run is cheap enough to prune.
@@ -129,6 +129,28 @@ int64_t SkylineWalk::Walk(const std::vector<char>& worker_used,
   return steps;
 }
 
+namespace {
+
+// Number of distinct tasks of `pair_ids` not yet used: marks each one
+// used as it is found, then clears exactly those marks.
+size_t CountOpenTasks(const PairPool& pool,
+                      const std::vector<int32_t>& pair_ids,
+                      std::vector<char>* task_used) {
+  std::vector<int32_t> open;
+  for (const int32_t id : pair_ids) {
+    const int32_t task = pool.TaskIndex(id);
+    char& used = (*task_used)[static_cast<size_t>(task)];
+    if (used == 0) {
+      used = 1;
+      open.push_back(task);
+    }
+  }
+  for (const int32_t task : open) (*task_used)[static_cast<size_t>(task)] = 0;
+  return open.size();
+}
+
+}  // namespace
+
 void GreedySelect(const PairPool& pool, const std::vector<int32_t>& pair_ids,
                   std::vector<char>* worker_used, std::vector<char>* task_used,
                   BudgetTracker* budget, std::vector<int32_t>* selected) {
@@ -136,12 +158,15 @@ void GreedySelect(const PairPool& pool, const std::vector<int32_t>& pair_ids,
   // solver, and a span per leaf would explode the trace.
   MQA_TRACE_SPAN_IF(pair_ids.size() >= 1024, "greedy/select",
                     static_cast<int64_t>(pair_ids.size()));
+  // With every open task picked, no live pair is left to select.
+  const size_t open_tasks = CountOpenTasks(pool, pair_ids, task_used);
+  if (open_tasks == 0) return;
   SkylineWalk walk(pool, pair_ids);
   std::vector<int32_t> skyline;
   // Work counters stay local and reach the registry once per call, so
   // concurrent D&C leaves do not contend on them.
   int64_t iterations = 0, skyline_pairs = 0, walk_steps = 0, capped = 0;
-  while (true) {
+  for (size_t picked = 0; picked < open_tasks; ++picked) {
     ++iterations;
     walk_steps += walk.Walk(*worker_used, *task_used, *budget, &skyline);
     skyline_pairs += static_cast<int64_t>(skyline.size());

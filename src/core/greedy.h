@@ -14,9 +14,10 @@ namespace mqa {
 /// The pruned candidate set S_p of paper Fig. 5 lines 4-10, kept across
 /// greedy iterations: the (quality mean up, cost mean down) Pareto
 /// skyline of the live pairs. Pairs are sorted once by (quality mean
-/// desc, cost mean asc, id asc); a min-cost tree over 16-pair blocks
-/// then yields S_p as the run of prefix-minimum costs in O(|S_p| log P)
-/// (tie rule: src/core/README.md). `pool` must outlive the walk.
+/// desc, cost mean asc, id asc) as 16-byte keys; a min-cost tree over
+/// 16-pair blocks then yields S_p as the run of prefix-minimum costs in
+/// O(|S_p| log P) (tie rule: src/core/README.md). `pool` must outlive the
+/// walk.
 class SkylineWalk {
  public:
   SkylineWalk(const PairPool& pool, const std::vector<int32_t>& pair_ids);
@@ -32,8 +33,18 @@ class SkylineWalk {
   size_t NextAtMost(size_t pos, double threshold) const;
   void Kill(size_t pos);
 
+  // One sorted position, 16 bytes: `value` is the quality mean while
+  // sorting, then the cost mean, so the walk reads costs without touching
+  // the pool's columns. `cost_hint` (the cost mean as a float) fills the
+  // padding and breaks most quality ties without a pool lookup.
+  struct Key {
+    double value;
+    int32_t id;
+    float cost_hint;
+  };
+
   const PairPool& pool_;
-  std::vector<int32_t> order_;  // pair ids in sort order
+  std::vector<Key> keys_;       // pairs in sort order
   std::vector<uint16_t> live_;  // per block: bit k = position 16b+k alive
   std::vector<double> tree_;    // min live cost per block, leaves from leaves_
   size_t leaves_ = 1;           // power of two >= number of blocks
@@ -46,7 +57,10 @@ class SkylineWalk {
 /// Each iteration walks S_p over the still-active pairs of `pair_ids`
 /// (SkylineWalk), selects the Eq. 10 best admissible pair, commits it
 /// against `budget`, and marks its endpoints used. Stops when no pair is
-/// admissible. Adds its work to the mqa.greedy.* counters once per call.
+/// admissible, or once every distinct task of `pair_ids` that was unused
+/// on entry has its pair: the next walk would then delete every pair and
+/// select nothing, so a single-task D&C leaf ends after its one pick.
+/// Adds its work to the mqa.greedy.* counters once per call.
 ///
 /// Selected pair ids are appended to `selected`. `worker_used` /
 /// `task_used` must be sized to the instance's worker/task vectors.

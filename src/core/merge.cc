@@ -1,8 +1,7 @@
 #include "core/merge.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "common/logging.h"
 #include "core/comparators.h"
@@ -21,14 +20,46 @@ bool PairBeats(const PairRef& a, const PairRef& b) {
   return a.cost_mean() <= b.cost_mean();
 }
 
-// Best replacement pair for `task` whose worker is not in `used_workers`;
-// -1 when none exists.
-int32_t BestAvailablePairForTask(
-    const PairPool& pool, int32_t task,
-    const std::unordered_set<int32_t>& used_workers) {
+// Per-worker merge state, indexed by pool worker index: kFree, kUsed, or
+// the worker's position in the accumulated assignment (which implies
+// used). Thread-local and all kFree between calls: a call resets exactly
+// the workers it touched, so concurrent D&C nodes each merge in their own
+// scratch.
+constexpr int32_t kFree = -1;
+constexpr int32_t kUsed = -2;
+
+struct MergeScratch {
+  std::vector<int32_t> state;
+  std::vector<int32_t> touched;  // workers whose state left kFree
+
+  void Use(int32_t worker) {
+    int32_t& s = state[static_cast<size_t>(worker)];
+    if (s == kFree) {
+      s = kUsed;
+      touched.push_back(worker);
+    }
+  }
+  void Place(int32_t worker, size_t pos) {
+    Use(worker);
+    state[static_cast<size_t>(worker)] = static_cast<int32_t>(pos);
+  }
+  void Clear() {
+    for (const int32_t worker : touched) {
+      state[static_cast<size_t>(worker)] = kFree;
+    }
+    touched.clear();
+  }
+};
+
+// Best replacement pair for `task` whose worker is still free; -1 when
+// none exists.
+int32_t BestAvailablePairForTask(const PairPool& pool, int32_t task,
+                                 const MergeScratch& scratch) {
   int32_t best = -1;
   for (const int32_t id : pool.PairsByTask(task)) {
-    if (used_workers.count(pool.WorkerIndex(id)) > 0) continue;
+    if (scratch.state[static_cast<size_t>(pool.WorkerIndex(id))] != kFree) {
+      continue;
+    }
     if (best < 0) {
       best = id;
       continue;
@@ -45,28 +76,27 @@ int32_t BestAvailablePairForTask(
 
 }  // namespace
 
-void MergeResults(const PairPool& pool, std::vector<int32_t>* merged,
-                  const std::vector<int32_t>& incoming) {
+MergeWork MergeResults(const PairPool& pool, std::vector<int32_t>* merged,
+                       const std::vector<int32_t>& incoming) {
+  thread_local MergeScratch scratch;
+  if (scratch.state.size() < pool.num_workers()) {
+    scratch.state.resize(pool.num_workers(), kFree);
+  }
   // Index the accumulated assignment by worker.
-  std::unordered_map<int32_t, size_t> merged_by_worker;
-  std::unordered_set<int32_t> used_workers;
   for (size_t pos = 0; pos < merged->size(); ++pos) {
-    const int32_t worker = pool.WorkerIndex((*merged)[pos]);
-    merged_by_worker[worker] = pos;
-    used_workers.insert(worker);
+    scratch.Place(pool.WorkerIndex((*merged)[pos]), pos);
   }
   std::vector<int32_t> incoming_mut = incoming;
-  for (const int32_t id : incoming_mut) {
-    used_workers.insert(pool.WorkerIndex(id));
-  }
 
   // Conflicting workers, most expensive incoming pair first (Fig. 8
   // line 3).
   std::vector<size_t> conflict_positions;
   for (size_t pos = 0; pos < incoming_mut.size(); ++pos) {
-    if (merged_by_worker.count(pool.WorkerIndex(incoming_mut[pos])) > 0) {
+    const int32_t worker = pool.WorkerIndex(incoming_mut[pos]);
+    if (scratch.state[static_cast<size_t>(worker)] >= 0) {
       conflict_positions.push_back(pos);
     }
+    scratch.Use(worker);
   }
   std::sort(conflict_positions.begin(), conflict_positions.end(),
             [&](size_t a, size_t b) {
@@ -76,25 +106,27 @@ void MergeResults(const PairPool& pool, std::vector<int32_t>* merged,
               return a < b;
             });
 
+  MergeWork work;
+  work.conflicts = static_cast<int64_t>(conflict_positions.size());
   std::vector<char> drop_incoming(incoming_mut.size(), 0);
   for (const size_t pos : conflict_positions) {
     const int32_t incoming_id = incoming_mut[pos];
     const PairRef pair_s = pool.pair(incoming_id);
-    const auto it = merged_by_worker.find(pair_s.worker_index());
-    MQA_CHECK(it != merged_by_worker.end()) << "conflict disappeared";
-    const size_t merged_pos = it->second;
+    int32_t& slot = scratch.state[static_cast<size_t>(pair_s.worker_index())];
+    MQA_CHECK(slot >= 0) << "conflict disappeared";
+    const size_t merged_pos = static_cast<size_t>(slot);
     const int32_t merged_id = (*merged)[merged_pos];
     const PairRef pair_m = pool.pair(merged_id);
 
     if (PairBeats(pair_s, pair_m)) {
       // Incoming wins: reassign the merged pair's task to another worker.
       const int32_t repl =
-          BestAvailablePairForTask(pool, pair_m.task_index(), used_workers);
-      merged_by_worker.erase(it);
+          BestAvailablePairForTask(pool, pair_m.task_index(), scratch);
+      slot = kUsed;
       if (repl >= 0) {
+        ++work.replacements;
         (*merged)[merged_pos] = repl;
-        merged_by_worker[pool.WorkerIndex(repl)] = merged_pos;
-        used_workers.insert(pool.WorkerIndex(repl));
+        scratch.Place(pool.WorkerIndex(repl), merged_pos);
       } else {
         // No replacement: the task goes unassigned this instance.
         (*merged)[merged_pos] = -1;
@@ -102,15 +134,17 @@ void MergeResults(const PairPool& pool, std::vector<int32_t>* merged,
     } else {
       // Merged wins: reassign the incoming pair's task.
       const int32_t repl =
-          BestAvailablePairForTask(pool, pair_s.task_index(), used_workers);
+          BestAvailablePairForTask(pool, pair_s.task_index(), scratch);
       if (repl >= 0) {
+        ++work.replacements;
         incoming_mut[pos] = repl;
-        used_workers.insert(pool.WorkerIndex(repl));
+        scratch.Use(pool.WorkerIndex(repl));
       } else {
         drop_incoming[pos] = 1;
       }
     }
   }
+  scratch.Clear();
 
   // Union (Fig. 8 line 10), skipping dropped entries.
   merged->erase(std::remove(merged->begin(), merged->end(), -1),
@@ -118,6 +152,7 @@ void MergeResults(const PairPool& pool, std::vector<int32_t>* merged,
   for (size_t pos = 0; pos < incoming_mut.size(); ++pos) {
     if (!drop_incoming[pos]) merged->push_back(incoming_mut[pos]);
   }
+  return work;
 }
 
 }  // namespace mqa

@@ -8,6 +8,12 @@
 
 namespace mqa {
 
+/// The conflict work of one MergeResults call.
+struct MergeWork {
+  int64_t conflicts = 0;     // workers assigned in both sets
+  int64_t replacements = 0;  // losing tasks given another free worker
+};
+
 /// MQA_Merge (paper Fig. 8): merges the assignment `incoming` of one
 /// subproblem into the accumulated assignment `merged`, resolving workers
 /// that are assigned to different tasks in the two sets.
@@ -20,9 +26,11 @@ namespace mqa {
 /// from `pool` (highest effective quality, ties toward cheaper cost), or
 /// dropped when every valid worker is in use.
 ///
-/// On return `merged` holds the union without worker conflicts.
-void MergeResults(const PairPool& pool, std::vector<int32_t>* merged,
-                  const std::vector<int32_t>& incoming);
+/// On return `merged` holds the union without worker conflicts. The
+/// per-worker bookkeeping lives in thread-local dense scratch sized by
+/// the pool's worker count, reset after every call.
+MergeWork MergeResults(const PairPool& pool, std::vector<int32_t>* merged,
+                       const std::vector<int32_t>& incoming);
 
 }  // namespace mqa
 

@@ -93,7 +93,7 @@ class LazyPairStats {
   double Existence(PairQualityKind kind, int32_t worker, int32_t task) const;
 
   /// Forces every distribution referenced by some pair of the columns to
-  /// materialize (the "eager" mode of PairPoolOptions::eager_stats).
+  /// materialize (PairPool::MaterializeAllStats).
   void MaterializeReferenced() const;
 
   bool stats_built() const {
@@ -265,8 +265,7 @@ class PairPool {
   double AvgWorkersPerTask() const;
 
   /// Forces every lazily-derived statistic some pair references to
-  /// materialize now (PairPoolOptions::eager_stats; also used by the
-  /// lazy-vs-eager property tests).
+  /// materialize now (benchmarks and the lazy-vs-eager property tests).
   void MaterializeAllStats() const;
 
   /// Current measurements. Cheap: the lazy counters use the table's

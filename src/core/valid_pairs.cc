@@ -356,7 +356,6 @@ PairPool BuildPairPool(const ProblemInstance& instance,
   if (owned_arena != nullptr) pool.AdoptArena(std::move(owned_arena));
   pool.set_stats_sink(options.stats_sink != nullptr ? options.stats_sink
                                                     : instance.pool_stats());
-  if (options.eager_stats) pool.MaterializeAllStats();
   return pool;
 }
 

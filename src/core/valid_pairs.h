@@ -49,12 +49,6 @@ struct PairPoolOptions {
   /// (PairArena::shard) per worker chunk holds that chunk's candidates.
   PairArena* arena = nullptr;
 
-  /// Materialize every referenced Case 1-3 quality/existence distribution
-  /// at build time instead of on first touch. Values are byte-identical
-  /// either way (property-tested); this knob exists for benchmarks and
-  /// the lazy-vs-eager tests.
-  bool eager_stats = false;
-
   /// When set (precedence: this field, then the instance's pool_stats()),
   /// the pool writes its PairPoolStats here on destruction — after the
   /// consuming algorithm ran, so the lazy counters are final.

@@ -50,7 +50,9 @@ void* PairArena::Allocate(size_t bytes, size_t alignment) {
     size_t size = std::max(next_slab_bytes_, bytes + alignment);
     next_slab_bytes_ = std::min(next_slab_bytes_ * 2, kMaxSlabGrowthBytes);
     Slab slab;
-    slab.data = std::make_unique<unsigned char[]>(size);
+    // Uninitialized, like the storage of a Reset arena: zero-filling would
+    // touch every page of the slab up front.
+    slab.data = std::unique_ptr<unsigned char[]>(new unsigned char[size]);
     slab.size = size;
     slabs_.push_back(std::move(slab));
   }

@@ -1,5 +1,7 @@
 #include "core/merge.h"
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -7,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "merge_oracle.h"
 
 namespace mqa {
 namespace {
@@ -184,6 +187,102 @@ TEST(MergeTest, RandomizedStressNoConflictsEver) {
     // Merging never grows the assignment beyond the input union.
     EXPECT_LE(merged.size(), before) << "trial " << trial;
   }
+}
+
+// ------------------------------------------------ dense == hash oracle
+
+/// Random pool with forced ties: means on a coarse grid (equal quality,
+/// equal cost), a share of uncertain pairs (the Eq. 7 branch of the
+/// conflict rule), and few workers, so subproblem results collide.
+PairPool TiedMergePool(Rng* rng, int num_workers, int num_tasks) {
+  PairPoolBuilder builder(static_cast<size_t>(num_workers),
+                          static_cast<size_t>(num_tasks));
+  for (int w = 0; w < num_workers; ++w) {
+    for (int t = 0; t < num_tasks; ++t) {
+      if (!rng->Bernoulli(0.4)) continue;
+      CandidatePair p;
+      p.worker_index = w;
+      p.task_index = t;
+      const double c = 0.5 * static_cast<double>(rng->UniformInt(1, 6));
+      const double q = 0.25 * static_cast<double>(rng->UniformInt(1, 8));
+      p.involves_predicted = rng->Bernoulli(0.3);
+      if (p.involves_predicted) {
+        p.cost = Uncertain(c, 0.04, c - 0.3, c + 0.3);
+        p.quality = Uncertain(q, 0.04, q - 0.3, q + 0.3);
+        p.existence = 0.8;
+      } else {
+        p.cost = Uncertain::Fixed(c);
+        p.quality = Uncertain::Fixed(q);
+      }
+      builder.Add(p);
+    }
+  }
+  return std::move(builder).Build();
+}
+
+/// One subproblem's result over `tasks`: a random partial matching.
+std::vector<int32_t> RandomResult(const PairPool& pool, Rng* rng,
+                                  const std::vector<int32_t>& tasks) {
+  std::set<int32_t> workers;
+  std::vector<int32_t> result;
+  for (const int32_t task : tasks) {
+    const PairIdSpan row = pool.PairsByTask(task);
+    if (row.empty() || rng->Bernoulli(0.1)) continue;
+    const int32_t id = row[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(row.size()) - 1))];
+    if (workers.insert(pool.WorkerIndex(id)).second) result.push_back(id);
+  }
+  return result;
+}
+
+// The dense per-worker scratch of MergeResults against the hash-table
+// merge it replaced (tests/merge_oracle.h): identical merged sequences,
+// element by element. Each trial merges up to 12 subproblem results in a
+// row, as one D&C node merges its children, and pool sizes go up and
+// down between trials, so scratch left stale by any earlier call on
+// this thread would show.
+TEST(MergeDifferentialTest, DenseScratchMatchesHashOracle) {
+  Rng rng(2024);
+  int64_t conflicts = 0;
+  int64_t replacements = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int num_workers = static_cast<int>(rng.UniformInt(1, 40));
+    const int num_tasks = static_cast<int>(rng.UniformInt(1, 60));
+    const PairPool pool = TiedMergePool(&rng, num_workers, num_tasks);
+    std::vector<int32_t> order(static_cast<size_t>(num_tasks));
+    std::iota(order.begin(), order.end(), 0);
+    for (size_t k = order.size(); k > 1; --k) {
+      std::swap(order[k - 1], order[static_cast<size_t>(rng.UniformInt(
+                                  0, static_cast<int64_t>(k) - 1))]);
+    }
+    const size_t groups = static_cast<size_t>(rng.UniformInt(1, 12));
+    std::vector<int32_t> merged;
+    std::vector<int32_t> oracle;
+    for (size_t g = 0; g < groups; ++g) {
+      const std::vector<int32_t> tasks(
+          order.begin() + static_cast<long>(order.size() * g / groups),
+          order.begin() + static_cast<long>(order.size() * (g + 1) / groups));
+      const std::vector<int32_t> incoming = RandomResult(pool, &rng, tasks);
+      std::set<int32_t> merged_workers;
+      for (const int32_t id : merged) {
+        merged_workers.insert(pool.WorkerIndex(id));
+      }
+      const int64_t expected_conflicts = std::count_if(
+          incoming.begin(), incoming.end(), [&](int32_t id) {
+            return merged_workers.count(pool.WorkerIndex(id)) > 0;
+          });
+
+      const MergeWork work = MergeResults(pool, &merged, incoming);
+      testing_util::OracleMergeResults(pool, &oracle, incoming);
+      ASSERT_EQ(merged, oracle) << "trial " << trial << " group " << g;
+      EXPECT_EQ(work.conflicts, expected_conflicts);
+      EXPECT_LE(work.replacements, work.conflicts);
+      conflicts += work.conflicts;
+      replacements += work.replacements;
+    }
+  }
+  EXPECT_GT(conflicts, 1000);
+  EXPECT_GT(replacements, 500);
 }
 
 }  // namespace

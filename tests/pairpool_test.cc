@@ -1,9 +1,10 @@
 // The columnar arena-backed PairPool and its lazy-statistics contract:
 //
 //  * lazy vs. eager materialization of the Cases 1-3 quality/existence
-//    statistics is byte-identical at the pool level and at the
-//    assignment level, across {greedy, D&C, random, exact} x {1, 2, 4, 8}
-//    threads x index backends;
+//    statistics is byte-identical at the pool level and for greedy's
+//    assignment, and every assigner {greedy, D&C, random, exact} gives
+//    the same assignment whichever of {1, 2, 4, 8} threads x index
+//    backends first touches the lazy statistics;
 //  * a PairArena reused across "epochs" (Reset between builds, the
 //    simulator's pattern) never leaks stale data into a later pool and
 //    stops allocating once warm;
@@ -112,12 +113,11 @@ TEST(LazyStatsProperty, PoolValuesMatchEagerAcrossBackends) {
                       rng.Uniform(1.0, 10.0));
     for (const IndexBackend backend :
          {IndexBackend::kBruteForce, IndexBackend::kGrid}) {
-      PairPoolOptions lazy_options;
-      lazy_options.backend = backend;
-      PairPoolOptions eager_options = lazy_options;
-      eager_options.eager_stats = true;
-      const PairPool lazy = BuildPairPool(inst, lazy_options);
-      const PairPool eager = BuildPairPool(inst, eager_options);
+      PairPoolOptions options;
+      options.backend = backend;
+      const PairPool lazy = BuildPairPool(inst, options);
+      const PairPool eager = BuildPairPool(inst, options);
+      eager.MaterializeAllStats();
       ExpectSamePool(lazy, eager);
     }
   }
@@ -125,67 +125,88 @@ TEST(LazyStatsProperty, PoolValuesMatchEagerAcrossBackends) {
 
 // -------------------------------------- lazy == eager, all assigners
 
-class LazyVsEagerAssignerProperty
+/// Mixed instance for one assigner trial; the exact oracle is
+/// exponential, so its instances stay tiny and current-only.
+ProblemInstance AssignerTrialInstance(Rng* rng, const QualityModel* quality,
+                                      bool exact) {
+  const int num_current = exact ? static_cast<int>(rng->UniformInt(2, 8))
+                                : static_cast<int>(rng->UniformInt(40, 120));
+  const int num_pred = exact ? 0 : static_cast<int>(rng->UniformInt(0, 25));
+  return MixedInstance(rng, quality, num_current, num_pred,
+                       rng->Uniform(1.0, 10.0));
+}
+
+// Greedy's selection over a pool whose statistics were all materialized
+// up front is the lazy run's selection, at every thread count.
+TEST(LazyVsEagerGreedyProperty, AssignmentMatchesPreMaterializedPool) {
+  const RangeQualityModel quality(1.0, 2.0, 13);
+  Rng rng(47);
+  for (int trial = 0; trial < 4; ++trial) {
+    const ProblemInstance inst = AssignerTrialInstance(&rng, &quality, false);
+    const PairPool pool = BuildPairPool(inst, /*include_predicted=*/true);
+    pool.MaterializeAllStats();
+    std::vector<int32_t> ids(pool.size());
+    for (size_t k = 0; k < ids.size(); ++k) ids[k] = static_cast<int32_t>(k);
+    std::vector<char> worker_used(inst.workers().size(), 0);
+    std::vector<char> task_used(inst.tasks().size(), 0);
+    BudgetTracker budget(inst.budget(), 0.5);
+    std::vector<int32_t> selected;
+    GreedySelect(pool, ids, &worker_used, &task_used, &budget, &selected);
+    const AssignmentResult eager = EmitCurrentPairs(inst, pool, selected);
+    for (const int threads : {1, 2, 4, 8}) {
+      ParallelRunner runner(threads);
+      PairPoolOptions options;
+      options.thread_pool = runner.pool();
+      ExpectSameAssignment(RunGreedy(inst, 0.5, options), eager, "greedy");
+    }
+  }
+}
+
+// Every assigner: the lazy statistics are first touched by different
+// threads in a different order per backend and thread count; the
+// assignment must not change.
+class LazyStatsAssignerProperty
     : public ::testing::TestWithParam<AssignerKind> {};
 
-TEST_P(LazyVsEagerAssignerProperty, AssignmentsByteIdentical) {
+TEST_P(LazyStatsAssignerProperty, AssignmentsByteIdentical) {
   const RangeQualityModel quality(1.0, 2.0, 13);
   Rng rng(47);
   const bool exact = GetParam() == AssignerKind::kExact;
   for (int trial = 0; trial < (exact ? 6 : 4); ++trial) {
-    // The exact oracle is exponential: keep its instances tiny.
-    const int num_current =
-        exact ? static_cast<int>(rng.UniformInt(2, 8))
-              : static_cast<int>(rng.UniformInt(40, 120));
-    const int num_pred =
-        exact ? 0 : static_cast<int>(rng.UniformInt(0, 25));
-    const ProblemInstance inst = MixedInstance(
-        &rng, &quality, num_current, num_pred, rng.Uniform(1.0, 10.0));
-
+    const ProblemInstance inst = AssignerTrialInstance(&rng, &quality, exact);
+    const auto run = [&](const PairPoolOptions& options) {
+      switch (GetParam()) {
+        case AssignerKind::kGreedy:
+          return RunGreedy(inst, 0.5, options);
+        case AssignerKind::kDivideConquer:
+          return RunDivideConquer(inst, 0.5, 0, options);
+        case AssignerKind::kRandom:
+          return RunRandom(inst, 0.5, 99, options);
+        case AssignerKind::kExact:
+          break;
+      }
+      const auto result = RunExact(inst, kExactMaxEntities, options);
+      EXPECT_TRUE(result.ok()) << result.status();
+      return result.ok() ? result.value() : AssignmentResult{};
+    };
+    PairPoolOptions reference_options;
+    reference_options.backend = IndexBackend::kBruteForce;
+    const AssignmentResult reference = run(reference_options);
     for (const IndexBackend backend :
          {IndexBackend::kBruteForce, IndexBackend::kGrid}) {
       for (const int threads : {1, 2, 4, 8}) {
         ParallelRunner runner(threads);
-        PairPoolOptions lazy_options;
-        lazy_options.backend = backend;
-        lazy_options.thread_pool = runner.pool();
-        PairPoolOptions eager_options = lazy_options;
-        eager_options.eager_stats = true;
-
-        AssignmentResult lazy;
-        AssignmentResult eager;
-        switch (GetParam()) {
-          case AssignerKind::kGreedy:
-            lazy = RunGreedy(inst, 0.5, lazy_options);
-            eager = RunGreedy(inst, 0.5, eager_options);
-            break;
-          case AssignerKind::kDivideConquer:
-            lazy = RunDivideConquer(inst, 0.5, 0, lazy_options);
-            eager = RunDivideConquer(inst, 0.5, 0, eager_options);
-            break;
-          case AssignerKind::kRandom:
-            lazy = RunRandom(inst, 0.5, 99, lazy_options);
-            eager = RunRandom(inst, 0.5, 99, eager_options);
-            break;
-          case AssignerKind::kExact: {
-            const auto lazy_r = RunExact(inst, kExactMaxEntities,
-                                         lazy_options);
-            const auto eager_r = RunExact(inst, kExactMaxEntities,
-                                          eager_options);
-            ASSERT_TRUE(lazy_r.ok()) << lazy_r.status();
-            ASSERT_TRUE(eager_r.ok()) << eager_r.status();
-            lazy = lazy_r.value();
-            eager = eager_r.value();
-            break;
-          }
-        }
-        ExpectSameAssignment(lazy, eager, AssignerKindToString(GetParam()));
+        PairPoolOptions options;
+        options.backend = backend;
+        options.thread_pool = runner.pool();
+        ExpectSameAssignment(run(options), reference,
+                             AssignerKindToString(GetParam()));
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Algorithms, LazyVsEagerAssignerProperty,
+INSTANTIATE_TEST_SUITE_P(Algorithms, LazyStatsAssignerProperty,
                          ::testing::Values(AssignerKind::kGreedy,
                                            AssignerKind::kDivideConquer,
                                            AssignerKind::kRandom,

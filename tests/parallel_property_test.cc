@@ -140,13 +140,20 @@ TEST(ParallelPairPoolProperty, PoolIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-/// Number of `pool/scan` spans a traced BuildPairPool emits.
-int CountScanSpans(const ProblemInstance& inst,
-                   const PairPoolOptions& options) {
+/// Number of `pool/scan` spans a traced BuildPairPool on `threads`
+/// threads emits. The pool's workers close their `exec/task` spans after
+/// ParallelFor returns, and Tracer::Reset needs every span closed, so
+/// the runner is joined (destroyed) before the tracer is read and reset.
+int CountScanSpans(const ProblemInstance& inst, PairPoolOptions options,
+                   int threads) {
   Tracer& tracer = Tracer::Get();
   tracer.Reset();
   tracer.Enable();
-  { const PairPool pool = BuildPairPool(inst, options); }
+  {
+    ParallelRunner runner(threads);
+    options.thread_pool = runner.pool();
+    const PairPool pool = BuildPairPool(inst, options);
+  }
   tracer.Disable();
   const std::string json = tracer.ToJsonString();
   tracer.Reset();
@@ -214,7 +221,7 @@ TEST(ParallelPairPoolProperty, MultiChunkPaperVelocityScanIsIdentical) {
       options.thread_pool = runner.pool();
       ExpectSamePool(sequential, BuildPairPool(inst, options));
       if (threads > 1) {
-        EXPECT_GT(CountScanSpans(inst, options), 1)
+        EXPECT_GT(CountScanSpans(inst, options, threads), 1)
             << "the paper-regime scan ran as one serial item";
       }
     }

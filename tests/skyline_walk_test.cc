@@ -7,8 +7,11 @@
 //     Dominates(a, b) => WeaklyDominatesForPruning(a, b);
 //   * differential equality of the selected sequences on random pools
 //     with forced ties and on every epoch pool of the trace corpus, for
-//     greedy and for the D&C leaf and budget-reselect subsets;
-//   * the mqa.greedy.* work counters, pinned on the golden trace.
+//     greedy and for the D&C leaf and budget-reselect subsets — which
+//     also checks the stop rule (a call ends once every open task of its
+//     input has its pair);
+//   * the mqa.greedy.* and mqa.dc.* work counters, pinned on the golden
+//     trace.
 
 #include <algorithm>
 #include <cstdint>
@@ -385,6 +388,80 @@ TEST(SkylineDifferentialTest, RandomPoolsWithForcedTies) {
   EXPECT_GT(selections, 1000);
 }
 
+// The stop rule: GreedySelect ends once every task of its input that was
+// open on entry has its pair, where the oracle walks on until nothing is
+// live. Both must select the same pairs on the sets D&C hands it: single
+// task rows (leaves, at most one pick) and reselect-shaped sets (one pair
+// per task, workers shared), with and without a task already used.
+TEST(SkylineDifferentialTest, StopRuleOnLeafRowsAndReselectSets) {
+  Rng rng(29);
+  int64_t leaf_picks = 0;
+  int64_t reselect_picks = 0;
+  for (int round = 0; round < 200; ++round) {
+    const int endpoints = static_cast<int>(rng.UniformInt(2, 16));
+    const int n = static_cast<int>(rng.UniformInt(1, 200));
+    const PairPool pool = TiedPool(&rng, n, endpoints);
+    const std::vector<char> none(static_cast<size_t>(endpoints), 0);
+    const double budget_b = 0.5 * static_cast<double>(rng.UniformInt(1, 40));
+    std::vector<int32_t> reselect;
+    for (int32_t task = 0; task < endpoints; ++task) {
+      const PairIdSpan row = pool.PairsByTask(task);
+      if (row.empty()) continue;
+      const std::vector<int32_t> ids(row.begin(), row.end());
+      const std::vector<int32_t> picked =
+          ExpectSameSelection(pool, ids, none, none, budget_b);
+      EXPECT_LE(picked.size(), 1u);
+      leaf_picks += static_cast<int64_t>(picked.size());
+      reselect.push_back(ids[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))]);
+    }
+    reselect_picks += static_cast<int64_t>(
+        ExpectSameSelection(pool, reselect, none, none, budget_b).size());
+    std::vector<char> task_used = none;
+    task_used[static_cast<size_t>(rng.UniformInt(0, endpoints - 1))] = 1;
+    ExpectSameSelection(pool, reselect, none, task_used, budget_b);
+  }
+  EXPECT_GT(leaf_picks, 1000);
+  EXPECT_GT(reselect_picks, 500);
+}
+
+// A leaf stops after its one pick instead of walking (and deleting) the
+// rest of its row; a two-task input stops after its second pick.
+TEST(GreedyStopRuleTest, EndsAfterEveryOpenTaskIsPicked) {
+#if defined(MQA_OBS_DISABLED)
+  GTEST_SKIP() << "metrics compiled out";
+#endif
+  PairPoolBuilder builder(8, 2);
+  for (int32_t w = 0; w < 8; ++w) {
+    for (int32_t t = 0; t < 2; ++t) {
+      CandidatePair p;
+      p.worker_index = w;
+      p.task_index = t;
+      p.cost = Uncertain::Fixed(1.0 + 0.1 * w);
+      p.quality = Uncertain::Fixed(2.0 - 0.1 * w + 0.05 * t);
+      builder.Add(p);
+    }
+  }
+  const PairPool pool = std::move(builder).Build();
+  Counter* iterations =
+      MetricsRegistry::Get().counter("mqa.greedy.iterations");
+  for (const size_t tasks : {size_t{1}, size_t{2}}) {
+    const PairIdSpan row = pool.PairsByTask(0);
+    std::vector<int32_t> ids(row.begin(), row.end());
+    if (tasks == 2) {
+      const PairIdSpan second = pool.PairsByTask(1);
+      ids.insert(ids.end(), second.begin(), second.end());
+    }
+    std::vector<char> worker_used(8, 0), task_used(2, 0);
+    BudgetTracker budget(100.0, 0.5);
+    std::vector<int32_t> selected;
+    const int64_t before = iterations->value();
+    GreedySelect(pool, ids, &worker_used, &task_used, &budget, &selected);
+    EXPECT_EQ(selected.size(), tasks);
+    EXPECT_EQ(iterations->value() - before, static_cast<int64_t>(tasks));
+  }
+}
+
 const RangeQualityModel& CorpusQuality() {
   static const RangeQualityModel quality(1.0, 2.0, 13);
   return quality;
@@ -547,19 +624,55 @@ GreedyWork GoldenTraceWork(AssignerKind kind, int threads) {
 
 // Pins the deterministic work of the greedy loop on the golden trace. A
 // regression to per-iteration rescans of the pool moves walk_steps by
-// orders of magnitude; a change to S_p or the Eq. 10 cap moves the rest.
-// Intentional changes update the constants (docs/OBSERVABILITY.md).
+// orders of magnitude; a change to S_p, the Eq. 10 cap or the stop rule
+// moves the rest. Intentional changes update the constants
+// (docs/OBSERVABILITY.md).
 TEST(GreedyWorkCounterTest, PinnedOnGoldenTraceAtAnyThreadCount) {
 #if defined(MQA_OBS_DISABLED)
   GTEST_SKIP() << "metrics compiled out";
 #endif
   const GreedyWork greedy{72, 219, 1399, 0};
-  const GreedyWork dc{278, 461, 1770, 0};
+  const GreedyWork dc{197, 461, 577, 0};
   for (const int threads : {1, 4}) {
     EXPECT_EQ(GoldenTraceWork(AssignerKind::kGreedy, threads), greedy)
         << threads << " threads";
     EXPECT_EQ(GoldenTraceWork(AssignerKind::kDivideConquer, threads), dc)
         << threads << " threads";
+  }
+}
+
+struct DcWork {
+  int64_t nodes, leaves, merge_conflicts, replacements, reselects;
+  bool operator==(const DcWork& o) const {
+    return nodes == o.nodes && leaves == o.leaves &&
+           merge_conflicts == o.merge_conflicts &&
+           replacements == o.replacements && reselects == o.reselects;
+  }
+};
+
+std::ostream& operator<<(std::ostream& out, const DcWork& w) {
+  return out << "{" << w.nodes << ", " << w.leaves << ", "
+             << w.merge_conflicts << ", " << w.replacements << ", "
+             << w.reselects << "}";
+}
+
+// Pins the D&C recursion's work on the golden trace: the decomposition
+// (nodes, leaves), MQA_Merge's conflict resolution and the Fig. 9 budget
+// reselections. The subproblem fan-out must not change any of them.
+TEST(DcWorkCounterTest, PinnedOnGoldenTraceAtAnyThreadCount) {
+#if defined(MQA_OBS_DISABLED)
+  GTEST_SKIP() << "metrics compiled out";
+#endif
+  const DcWork expected{80, 77, 57, 53, 4};
+  for (const int threads : {1, 4}) {
+    GoldenTraceWork(AssignerKind::kDivideConquer, threads);
+    MetricsRegistry& registry = MetricsRegistry::Get();
+    const DcWork work{registry.counter("mqa.dc.nodes")->value(),
+                      registry.counter("mqa.dc.leaves")->value(),
+                      registry.counter("mqa.dc.merge_conflicts")->value(),
+                      registry.counter("mqa.dc.replacements")->value(),
+                      registry.counter("mqa.dc.reselects")->value()};
+    EXPECT_EQ(work, expected) << threads << " threads";
   }
 }
 
