@@ -631,7 +631,6 @@ int main(int argc, char** argv) {
   if (opt.stream) {
     StreamingConfig sconfig;
     sconfig.sim = config;
-    sconfig.sim.maintain_worker_index = true;
     sconfig.horizon = horizon;
     if (opt.epoch_policy == "instance") {
       sconfig.policy.kind = EpochPolicyKind::kPerInstance;

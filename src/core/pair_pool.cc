@@ -1,5 +1,6 @@
 #include "core/pair_pool.h"
 
+#include <algorithm>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -176,6 +177,7 @@ PairPool& PairPool::operator=(PairPool&& other) noexcept {
   num_current_workers_ = other.num_current_workers_;
   num_current_tasks_ = other.num_current_tasks_;
   explicit_predicted_count_ = other.explicit_predicted_count_;
+  worker_major_ = other.worker_major_;
   worker_col_ = other.worker_col_;
   task_col_ = other.task_col_;
   cost_mean_col_ = other.cost_mean_col_;
@@ -333,6 +335,21 @@ PairPoolStats PairPool::Stats() const {
       predicted > 0
           ? static_cast<double>(skipped) / static_cast<double>(predicted)
           : 0.0;
+
+  // A current task's row holds a current-current pair iff its lowest
+  // worker is current — in a worker-major pool, the row's first pair.
+  // Hand-built rows have no such order and are scanned.
+  stats.covered_current_tasks = 0;
+  for (size_t j = 0; j < num_current_tasks_; ++j) {
+    const PairIdSpan row = PairsByTask(static_cast<int32_t>(j));
+    const bool covered =
+        worker_major_
+            ? !row.empty() && !InvolvesPredicted(row[0])
+            : std::any_of(row.begin(), row.end(), [this](int32_t id) {
+                return !InvolvesPredicted(id);
+              });
+    if (covered) ++stats.covered_current_tasks;
+  }
   return stats;
 }
 
@@ -352,6 +369,7 @@ PairPoolBuilder::PairPoolBuilder(size_t num_workers, size_t num_tasks,
                                  size_t num_current_tasks, size_t num_pairs,
                                  PairArena* arena, bool lazy_stats)
     : lazy_stats_(lazy_stats) {
+  pool_.worker_major_ = true;
   // Pair ids, CSR offsets and entity indices are int32; past that width
   // BuildCsr's casts would wrap silently. Checked before any allocation.
   constexpr size_t kMaxId =

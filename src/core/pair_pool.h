@@ -42,6 +42,11 @@ struct PairPoolStats {
   int64_t pairs = 0;
   int64_t predicted_pairs = 0;
 
+  /// Current tasks with at least one valid current-worker pair — the
+  /// streaming engine's coverable backlog. -1 until a pool writes the
+  /// stats (an epoch whose assigner built no pool keeps it).
+  int64_t covered_current_tasks = -1;
+
   /// Wall-clock seconds spent inside BuildPairPool (0 for hand-built
   /// pools). Execution state, like the arena fields — excluded from the
   /// byte-identity contract.
@@ -269,8 +274,9 @@ class PairPool {
   void MaterializeAllStats() const;
 
   /// Current measurements. Cheap: the lazy counters use the table's
-  /// construction-time reference counts, so this is O(entries) — never
-  /// an O(pairs) rescan.
+  /// construction-time reference counts and the covered-task count reads
+  /// one CSR row head per current task, so this is O(entries + current
+  /// tasks) — never an O(pairs) rescan.
   PairPoolStats Stats() const;
 
   /// When set, the destructor writes Stats() to `sink` — after the
@@ -299,6 +305,9 @@ class PairPool {
   size_t num_current_workers_ = 0;
   size_t num_current_tasks_ = 0;
   int64_t explicit_predicted_count_ = 0;  // hand-built pools only
+  // Column mode (BuildPairPool): pair ids ascend by worker index, so
+  // each task row starts at its lowest worker.
+  bool worker_major_ = false;
 
   // SoA columns (arena storage).
   int32_t* worker_col_ = nullptr;
@@ -378,7 +387,8 @@ inline PairRef PairPool::pair(int32_t id) const { return PairRef(this, id); }
 ///    in the explicit side table;
 ///  * column mode (BuildPairPool): the pair count is known up front,
 ///    columns are allocated from the arena and filled in place (possibly
-///    by several threads, each writing disjoint slots), then Build() adds
+///    by several threads, each writing disjoint slots) worker-major —
+///    pair ids ascending by worker index — then Build() adds
 ///    the CSR adjacency and, when `lazy_stats` was requested, the
 ///    LazyPairStats table.
 class PairPoolBuilder {

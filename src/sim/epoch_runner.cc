@@ -63,10 +63,6 @@ EpochRunner::EpochRunner(const SimulatorConfig& config,
       // not O(|T|), and BuildPairPool never re-buckets carried-over
       // tasks. Without reuse it is recreated per epoch in RunEpoch.
       task_index_cache_(std::make_unique<TaskIndexCache>(config.index_backend)),
-      worker_index_cache_(config.maintain_worker_index
-                              ? std::make_unique<WorkerIndexCache>(
-                                    config.index_backend)
-                              : nullptr),
       // Pool shared by all epochs of the run (threads spin up once); the
       // assigner sees it through ProblemInstance::thread_pool, like the
       // task index. Sequential configs carry a null pool.
@@ -75,10 +71,6 @@ EpochRunner::EpochRunner(const SimulatorConfig& config,
 }
 
 EpochRunner::~EpochRunner() = default;
-
-const SpatialIndex* EpochRunner::worker_index() const {
-  return worker_index_cache_ ? worker_index_cache_->view() : nullptr;
-}
 
 Result<EpochOutcome> EpochRunner::RunEpoch(
     int64_t epoch_index, const std::vector<Worker>& new_workers,
@@ -168,21 +160,12 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
           std::make_unique<TaskIndexCache>(config_.index_backend);
     }
     task_index_cache_->BeginInstance(inst_tasks);
-    if (worker_index_cache_) {
-      worker_index_cache_->BeginInstance(inst_workers);
-    }
   }
   {
     const IndexChurnStats& tc = task_index_cache_->last_churn();
     metrics.index_inserted = tc.inserted;
     metrics.index_erased = tc.erased;
     metrics.index_bulk_rebuilds = tc.bulk_rebuilt ? 1 : 0;
-    if (worker_index_cache_) {
-      const IndexChurnStats& wc = worker_index_cache_->last_churn();
-      metrics.index_inserted += wc.inserted;
-      metrics.index_erased += wc.erased;
-      metrics.index_bulk_rebuilds += wc.bulk_rebuilt ? 1 : 0;
-    }
     MQA_METRIC_COUNT("mqa.index.inserted", metrics.index_inserted);
     MQA_METRIC_COUNT("mqa.index.erased", metrics.index_erased);
     MQA_METRIC_COUNT("mqa.index.bulk_rebuilds", metrics.index_bulk_rebuilds);
@@ -217,6 +200,7 @@ Result<EpochOutcome> EpochRunner::RunEpoch(
   metrics.pool_arena_peak_bytes = pool_stats.arena_peak_bytes;
   metrics.pool_lazy_skipped_fraction = pool_stats.lazy_skipped_fraction;
   metrics.pool_build_seconds = pool_stats.build_seconds;
+  outcome.coverable_backlog = pool_stats.covered_current_tasks;
 
   if (config_.validate_assignments) {
     MQA_TRACE_SPAN("epoch/validate");

@@ -10,7 +10,6 @@
 #include "exec/pair_arena.h"
 #include "exec/parallel_runner.h"
 #include "index/task_index_cache.h"
-#include "index/worker_index_cache.h"
 #include "prediction/predictor.h"
 #include "quality/quality_model.h"
 #include "sim/metrics.h"
@@ -31,6 +30,11 @@ struct EpochOutcome {
   /// errors, cpu seconds, assigned/quality/cost) — the batch summary
   /// records these as its InstanceMetrics.
   InstanceMetrics metrics;
+
+  /// Available tasks with at least one valid available-worker pair,
+  /// read from the epoch's pair pool (PairPoolStats::
+  /// covered_current_tasks); -1 when the assigner built no pool.
+  int64_t coverable_backlog = -1;
 
   /// worker_assigned[i] / task_assigned[j] flag the available entities
   /// the assignment consumed (sized to the pool sizes passed in).
@@ -59,12 +63,11 @@ struct EpochOutcome {
 ///   Assign -> validate -> compute rejoins.
 ///
 /// The runner owns all cross-epoch state: the grid predictor, the
-/// incrementally maintained TaskIndexCache (and optional
-/// WorkerIndexCache), and the thread pool. Callers own the entity pools
-/// and the clock — which epochs happen when, and how arrivals, carryover
-/// and expiry feed the pools, is entirely theirs. Byte-determinism
-/// follows: two callers issuing the same sequence of RunEpoch calls with
-/// the same pools get bitwise-identical outcomes.
+/// incrementally maintained TaskIndexCache, and the thread pool. Callers
+/// own the entity pools and the clock — which epochs happen when, and
+/// how arrivals, carryover and expiry feed the pools, is entirely theirs.
+/// Byte-determinism follows: two callers issuing the same sequence of
+/// RunEpoch calls with the same pools get bitwise-identical outcomes.
 class EpochRunner {
  public:
   /// `quality` must outlive the runner.
@@ -84,23 +87,11 @@ class EpochRunner {
                                 const std::vector<Task>& available_tasks,
                                 bool predict_next, Assigner* assigner);
 
-  /// The worker index over the last epoch's instance workers, or nullptr
-  /// unless SimulatorConfig::maintain_worker_index. Entry ids are indices
-  /// into the (available + predicted) worker vector of that epoch; valid
-  /// until the next RunEpoch.
-  const SpatialIndex* worker_index() const;
-
-  /// The runner's thread pool (nullptr when sequential) — shared with
-  /// callers that parallelize their own per-epoch scans (the streaming
-  /// engine's coverable-backlog metric).
-  ThreadPool* thread_pool() const { return runner_.pool(); }
-
  private:
   SimulatorConfig config_;
   const QualityModel* quality_;
   GridPredictor predictor_;
   std::unique_ptr<TaskIndexCache> task_index_cache_;
-  std::unique_ptr<WorkerIndexCache> worker_index_cache_;
   ParallelRunner runner_;
 
   // Per-epoch pair-pool arena, Reset (slabs retained) at the start of

@@ -43,13 +43,13 @@ struct InstanceMetrics {
   /// contract.
   double predict_seconds = 0.0;   // prediction scoring + PredictNext
   double assemble_seconds = 0.0;  // instance vector assembly
-  double index_seconds = 0.0;     // task/worker index build or churn
+  double index_seconds = 0.0;     // task index build or churn
   double assign_seconds = 0.0;    // Assigner::Assign (includes pool build)
   double validate_seconds = 0.0;  // ValidateAssignment (0 when disabled)
   double apply_seconds = 0.0;     // consumed marking + rejoin computation
 
   /// Streaming phases outside the epoch core: event-queue drain into the
-  /// epoch, and the coverable-backlog rescan of deferred tasks. Run
+  /// epoch, and taking the coverable backlog from the epoch outcome. Run
   /// reports carry them for every run; the batch SimulationSummary keeps
   /// them at 0, so batch measurements count that time (the per-instance
   /// carryover) as loop time outside the epoch.
@@ -82,9 +82,9 @@ struct InstanceMetrics {
   /// skipped; 0 when the pool had no predicted pairs).
   double pool_lazy_skipped_fraction = 0.0;
 
-  /// Index-cache sync churn (EntityIndexCache::BeginInstance), task and
-  /// worker caches combined; bulk_rebuilt counts caches that crossed the
-  /// rebuild break-even this epoch.
+  /// Task-index sync churn (TaskIndexCache::BeginInstance);
+  /// bulk_rebuilds is 1 when the cache crossed the rebuild break-even
+  /// this epoch.
   int64_t index_inserted = 0;
   int64_t index_erased = 0;
   int64_t index_bulk_rebuilds = 0;

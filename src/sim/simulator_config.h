@@ -45,10 +45,10 @@ struct SimulatorConfig {
   IndexBackend index_backend = IndexBackend::kAuto;
   bool reuse_task_index = true;
 
-  /// Also maintain an incremental *worker* index (WorkerIndexCache),
-  /// exposed through EpochRunner::worker_index. Off by default — no
-  /// assigner consumes it; the streaming engine turns it on for
-  /// task-centric backlog-coverage queries.
+  /// Does nothing. It switched on a worker index whose only reader was
+  /// the streaming engine's coverable-backlog count, which the epoch's
+  /// pair pool now supplies. Kept because perfbench/workloads.cc still
+  /// sets it; delete both together.
   bool maintain_worker_index = false;
 
   /// Total threads the per-instance assignment work fans across: the

@@ -51,9 +51,10 @@ struct EpochStreamMetrics {
   /// fully elapsed unserved.
   int64_t expired = 0;
 
-  /// Pending tasks (before assignment) with at least one available
-  /// worker in reach, answered by the incremental WorkerIndexCache; -1
-  /// when the worker index is disabled. backlog_before - coverable is
+  /// Coverable backlog: pending tasks (before assignment) with at least
+  /// one valid current pair — some available worker passes
+  /// ProblemInstance::CanReach for it. Read from the epoch's pair pool;
+  /// -1 when the assigner built no pool. backlog_before - coverable is
   /// the structurally unserveable backlog an epoch policy cannot help.
   int64_t coverable_backlog = -1;
 

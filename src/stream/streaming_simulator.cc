@@ -249,57 +249,6 @@ class Engine {
     return Status::OK();
   }
 
-  /// Pending tasks (pre-assignment) with at least one *current* worker in
-  /// reach, answered by the incremental worker index: entries carry
-  /// worker velocities as their QueryReachable bound, so the reachability
-  /// roles swap (see src/index/worker_index_cache.h).
-  ///
-  /// Per-task queries are independent and the index view's const queries
-  /// are concurrency-safe (src/index/README.md), so the scan fans out
-  /// over the epoch runner's thread pool; each item writes only its own
-  /// flag slot and the count reduces sequentially — the metric is
-  /// byte-identical for any thread count.
-  int64_t CoverableBacklog(size_t num_current_workers) {
-    const SpatialIndex* index = runner_.worker_index();
-    if (index == nullptr) return -1;
-    // Capping at the pool's max velocity keeps the query radius (and so
-    // GridIndex's cell range) finite; current workers are never pruned
-    // by it since min(v_i, cap) == v_i for all of them.
-    const double velocity_cap = MaxWorkerVelocity(workers_);
-    const auto covered_by_current = [&](const Task& task) {
-      bool covered = false;
-      index->QueryReachable(
-          task.location, /*velocity=*/std::max(task.deadline, 0.0),
-          /*max_deadline=*/velocity_cap,
-          [&](int64_t id, const BBox&, double) {
-            if (static_cast<size_t>(id) < num_current_workers) covered = true;
-          });
-      return covered;
-    };
-
-    ThreadPool* pool = runner_.thread_pool();
-    if (pool == nullptr || pool->num_threads() <= 1 ||
-        tasks_.size() < kMinParallelBacklogTasks) {
-      int64_t coverable = 0;
-      for (const Task& task : tasks_) {
-        if (covered_by_current(task)) ++coverable;
-      }
-      return coverable;
-    }
-
-    covered_flags_.assign(tasks_.size(), 0);
-    pool->ParallelFor(static_cast<int64_t>(tasks_.size()), [&](int64_t j) {
-      covered_flags_[static_cast<size_t>(j)] =
-          covered_by_current(tasks_[static_cast<size_t>(j)]) ? 1 : 0;
-    });
-    int64_t coverable = 0;
-    for (const char flag : covered_flags_) coverable += flag;
-    return coverable;
-  }
-
-  // Below this backlog the fan-out overhead exceeds the scan itself.
-  static constexpr size_t kMinParallelBacklogTasks = 64;
-
   /// Counts the firing decision in the registry. The metric macros cache
   /// one handle per call site, so each reason gets its own literal name.
   static void CountFireReason(EpochFireReason reason) {
@@ -350,9 +299,10 @@ class Engine {
     new_tasks_.clear();
     em.instance = outcome.metrics;
     {
-      MQA_TRACE_SPAN("stream/coverable_backlog");
+      // The count came with the epoch's pair pool; this phase is a copy,
+      // still timed so run reports and --phase-timing keep the field.
       const auto t_backlog = std::chrono::steady_clock::now();
-      em.coverable_backlog = CoverableBacklog(workers_.size());
+      em.coverable_backlog = outcome.coverable_backlog;
       em.instance.backlog_scan_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         t_backlog)
@@ -456,9 +406,6 @@ class Engine {
   // This epoch's arrivals, for prediction bookkeeping.
   std::vector<Worker> new_workers_;
   std::vector<Task> new_tasks_;
-
-  // Scratch for the parallel coverable-backlog scan (reused per epoch).
-  std::vector<char> covered_flags_;
 
   double prev_epoch_time_ = 0.0;
   bool any_epoch_ = false;

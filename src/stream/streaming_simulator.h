@@ -50,9 +50,7 @@ struct EpochPolicy {
 
 struct StreamingConfig {
   /// The epoch core's knobs (budget per epoch, prediction, rejoin,
-  /// indexes, threads), shared with the batch Simulator adapter.
-  /// sim.maintain_worker_index additionally enables the per-epoch
-  /// coverable-backlog metric.
+  /// index, threads), shared with the batch Simulator adapter.
   SimulatorConfig sim;
 
   EpochPolicy policy;
@@ -69,9 +67,9 @@ struct StreamingConfig {
 /// The one simulation engine (the batch Simulator is an adapter over its
 /// per-instance policy): replays
 /// timestamped arrival/completion/expiry events from an EventQueue,
-/// maintains the worker/task pools *and their spatial indexes*
-/// incrementally across epochs (TaskIndexCache / WorkerIndexCache diff
-/// against the previous epoch, so upkeep costs O(churn)), and cuts
+/// maintains the worker/task pools *and the task spatial index*
+/// incrementally across epochs (TaskIndexCache diffs against the
+/// previous epoch, so upkeep costs O(churn)), and cuts
 /// assignment epochs by policy, each epoch driving the EpochRunner
 /// predict -> assign -> validate core. On top of the per-instance
 /// metrics it measures what only a stream exposes: per-epoch

@@ -115,7 +115,6 @@ std::vector<uint64_t> RunStream(EventQueue queue, double horizon,
                                 AssignerKind kind, const Variant& v) {
   StreamingConfig config;
   config.sim = VariantConfig(v);
-  config.sim.maintain_worker_index = true;
   config.policy.kind = EpochPolicyKind::kPerInstance;
   config.horizon = horizon;
   StreamingSimulator sim(config, &Quality());

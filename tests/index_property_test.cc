@@ -6,7 +6,9 @@
 // across any thread count — including through the simulator's
 // incrementally maintained TaskIndexCache.
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -265,7 +267,7 @@ TEST(PairPoolBackendProperty, ExternalIndexMatchesInternal) {
 TEST(TaskIndexCacheProperty, TracksEvolvingTaskSets) {
   const ConstantQualityModel quality(1.0);
   // The cache's churn pattern must hold for every incremental backend —
-  // the R*-tree gets EntityIndexCache maintenance for free through the
+  // the R*-tree gets TaskIndexCache maintenance for free through the
   // same Insert/Erase contract the grid satisfies.
   for (const IndexBackend backend :
        {IndexBackend::kGrid, IndexBackend::kRTree}) {
@@ -311,6 +313,82 @@ TEST(TaskIndexCacheProperty, TracksEvolvingTaskSets) {
     inst.set_task_index(cache.view());
     ExpectSamePool(brute, BuildPairPool(inst, PairPoolOptions{}));
   }
+  }
+}
+
+// Reachable task set of `worker` through `index`: the raw QueryReachable
+// visits, then the exact reachability filter against the tasks' *current*
+// deadlines (the cache's entries may hold stale, larger ones).
+std::set<int64_t> ReachableTasks(const SpatialIndex& index,
+                                 const std::vector<Task>& tasks,
+                                 const Worker& worker, double max_deadline) {
+  std::set<int64_t> ids;
+  index.QueryReachable(worker.location, worker.velocity, max_deadline,
+                       [&](int64_t id, const BBox&, double min_dist) {
+                         const Task& t = tasks[static_cast<size_t>(id)];
+                         if (min_dist <= worker.velocity * t.deadline) {
+                           ids.insert(id);
+                         }
+                       });
+  return ids;
+}
+
+TEST(TaskIndexCacheProperty, IncrementalMatchesFromScratchRebuild) {
+  // Carried tasks' deadlines shrink every epoch, as in the streaming
+  // engine, so the incremental entries go stale; after the exact filter
+  // the answers must still equal a from-scratch cache and the definition.
+  // Thresholds 0 and 2 pin the always-rebuild and never-rebuild paths.
+  for (const IndexBackend backend :
+       {IndexBackend::kBruteForce, IndexBackend::kGrid, IndexBackend::kRTree}) {
+    for (const double threshold : {0.0, 0.5, 2.0}) {
+      Rng rng(321);
+      std::vector<Task> pool;
+      TaskId next_id = 0;
+      TaskIndexCache cache(backend);
+      cache.set_rebuild_threshold(threshold);
+      for (int epoch = 0; epoch < 25; ++epoch) {
+        std::vector<Task> survivors;
+        for (Task t : pool) {
+          t.deadline -= 0.2;
+          if (t.deadline > 0.0 && !rng.Bernoulli(0.3)) survivors.push_back(t);
+        }
+        pool = std::move(survivors);
+        const int64_t arrivals = rng.UniformInt(0, 40);
+        for (int64_t k = 0; k < arrivals; ++k) {
+          pool.push_back(MakeTask(next_id++, rng.Uniform(), rng.Uniform(),
+                                  rng.Uniform(0.5, 2.5)));
+        }
+
+        cache.BeginInstance(pool);
+        ASSERT_EQ(cache.size(), pool.size());
+        ASSERT_EQ(cache.view()->size(), pool.size());
+        TaskIndexCache fresh(backend);
+        fresh.BeginInstance(pool);
+
+        double max_deadline = 0.0;
+        for (const Task& t : pool) {
+          max_deadline = std::max(max_deadline, t.deadline);
+        }
+        for (int q = 0; q < 10; ++q) {
+          const Worker w = MakeWorker(q, rng.Uniform(), rng.Uniform(),
+                                      rng.Uniform(0.05, 0.5));
+          const auto incremental =
+              ReachableTasks(*cache.view(), pool, w, max_deadline);
+          ASSERT_EQ(incremental,
+                    ReachableTasks(*fresh.view(), pool, w, max_deadline))
+              << "epoch " << epoch << " query " << q << " diverged";
+          std::set<int64_t> expected;
+          for (size_t j = 0; j < pool.size(); ++j) {
+            if (w.location.MinDistance(pool[j].location) <=
+                w.velocity * pool[j].deadline) {
+              expected.insert(static_cast<int64_t>(j));
+            }
+          }
+          ASSERT_EQ(incremental, expected)
+              << "epoch " << epoch << " query " << q << " wrong vs definition";
+        }
+      }
+    }
   }
 }
 

@@ -110,7 +110,6 @@ ResultFingerprint RunStream(const ObsCase& c) {
   config.sim.budget = 35.0;
   config.sim.prediction.seed = 23;
   config.sim.num_threads = c.threads;
-  config.sim.maintain_worker_index = true;
   config.policy.kind = EpochPolicyKind::kAdaptiveBacklog;
   config.policy.backlog_threshold = 40;
   config.policy.max_interval = 1.0;

@@ -8,7 +8,8 @@
 //  * a PairArena reused across "epochs" (Reset between builds, the
 //    simulator's pattern) never leaks stale data into a later pool and
 //    stops allocating once warm;
-//  * the lazy counters report what the consuming algorithm touched.
+//  * the lazy counters report what the consuming algorithm touched, and
+//    the covered-task count only current-current pairs.
 
 #include <cstdint>
 #include <string>
@@ -391,6 +392,52 @@ TEST(PairPoolTest, HandBuiltPoolRoundTrips) {
   // The thinned variant still works through the view.
   const Uncertain thinned = pool.pair(0).ExistenceThinnedQuality();
   EXPECT_DOUBLE_EQ(thinned.mean(), 1.5 * 0.75);
+}
+
+// ------------------------------------------------ covered current tasks
+
+// The coverable-backlog count: current tasks with at least one valid
+// current-current pair. Task 1's only pair is with a predicted worker,
+// task 2 is out of reach, and predicted task 3 does not count, so only
+// task 0 is covered.
+TEST(PairPoolStatsTest, CoveredCurrentTasksSkipPredictedOnlyRows) {
+  const RangeQualityModel quality(1.0, 2.0, 7);
+  std::vector<Worker> workers = {
+      MakeWorker(0, 0.1, 0.1, 0.3),
+      MakePredictedWorker(1, BBox::KernelBox({0.9, 0.9}, 0.05, 0.05), 0.3)};
+  std::vector<Task> tasks = {
+      MakeTask(0, 0.2, 0.1, 1.5),   // 0.1 from worker 0, reach 0.45
+      MakeTask(1, 0.9, 0.85, 2.0),  // inside worker 1's box only
+      MakeTask(2, 0.1, 0.9, 1.5),   // 0.8 from worker 0
+      MakePredictedTask(3, BBox::KernelBox({0.1, 0.15}, 0.05, 0.05), 1.5)};
+  const ProblemInstance inst(std::move(workers), 1, std::move(tasks), 3,
+                             &quality, 1.0, 10.0);
+  const PairPool pool = BuildPairPool(inst);
+  ASSERT_EQ(pool.PairsByTask(1).size(), 1u);
+  EXPECT_TRUE(pool.InvolvesPredicted(pool.PairsByTask(1)[0]));
+  EXPECT_TRUE(pool.PairsByTask(2).empty());
+  EXPECT_FALSE(pool.PairsByTask(3).empty());
+  EXPECT_EQ(pool.Stats().covered_current_tasks, 1);
+}
+
+// Hand-built rows have no worker order, so the count scans them: task 0's
+// current pair sits behind a predicted one and still covers it.
+TEST(PairPoolStatsTest, HandBuiltRowsAreScanned) {
+  PairPoolBuilder builder(3, 3);
+  CandidatePair p;
+  p.involves_predicted = true;
+  p.worker_index = 2;
+  p.task_index = 0;
+  builder.Add(p);
+  p.involves_predicted = false;
+  p.worker_index = 0;
+  builder.Add(p);
+  p.involves_predicted = true;
+  p.worker_index = 1;
+  p.task_index = 1;
+  builder.Add(p);
+  const PairPool pool = std::move(builder).Build();
+  EXPECT_EQ(pool.Stats().covered_current_tasks, 1);
 }
 
 // Pair ids and CSR offsets are int32: a pool one past that range must

@@ -1,7 +1,7 @@
 // The batch Simulator is an adapter over the streaming engine's
 // per-instance policy, so batch/stream byte-equivalence holds by
 // construction. This suite pins the adapter: a direct StreamingSimulator
-// run on EventQueue::FromArrivalStream (worker index on) must match it —
+// run on EventQueue::FromArrivalStream must match it —
 // identical assignment pairs, identical quality/cost bits, identical
 // per-instance metrics — across algorithms, thread counts, rejoin, and
 // index-cache modes. A wrong horizon, event order or summary projection
@@ -71,9 +71,6 @@ TEST_P(StreamEquivalenceTest, PerInstancePolicyMatchesBatchByteForByte) {
 
   StreamingConfig stream_config;
   stream_config.sim = sim_config;
-  // The streaming engine additionally maintains the worker index; it must
-  // not change results.
-  stream_config.sim.maintain_worker_index = true;
   stream_config.policy.kind = EpochPolicyKind::kPerInstance;
   StreamingSimulator streaming(stream_config, &quality);
   RecordingAssigner stream_assigner(CreateAssigner(c.kind, {.seed = 99}));

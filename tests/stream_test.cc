@@ -108,7 +108,6 @@ StreamingConfig TinyConfig() {
   config.sim.unit_price = 1.0;
   config.sim.use_prediction = false;
   config.sim.workers_rejoin = false;
-  config.sim.maintain_worker_index = true;
   return config;
 }
 
@@ -313,7 +312,10 @@ TEST(StreamingPolicyTest, MidGapExpiryNeverOffersDeadTasks) {
   EXPECT_EQ(summary.value().total_assigned, 0);
 }
 
-TEST(StreamingPolicyTest, CoverableBacklogCountsReachableTasksOnly) {
+// One budget-0 epoch (nothing assigned) over a worker at (0.1, 0.1) with
+// v = 0.2, a task in its reach and a task far out of it; optionally an
+// immobile (v = 0) worker standing on the far task.
+EpochStreamMetrics NearAndFarTaskEpoch(bool immobile_on_far_task) {
   const testing_util::ConstantQualityModel quality(1.0);
   StreamingConfig config = TinyConfig();
   config.policy.kind = EpochPolicyKind::kPerInstance;
@@ -326,13 +328,20 @@ TEST(StreamingPolicyTest, CoverableBacklogCountsReachableTasksOnly) {
   w.worker = MakeWorker(0, 0.1, 0.1, 0.2);
   w.time = 0.0;
   queue.Push(w);
+  if (immobile_on_far_task) {
+    StreamEvent still;
+    still.kind = EventKind::kWorkerArrival;
+    still.worker = MakeWorker(1, 0.9, 0.9, 0.0);
+    still.time = 0.0;
+    queue.Push(still);
+  }
   // In reach of the worker (distance 0.1 <= 0.2 * 1.0)...
   StreamEvent near;
   near.kind = EventKind::kTaskArrival;
   near.task = MakeTask(1, 0.2, 0.1, 1.0);
   near.time = 0.0;
   queue.Push(near);
-  // ...and far out of reach of anything.
+  // ...and far out of reach of any moving worker.
   StreamEvent far;
   far.kind = EventKind::kTaskArrival;
   far.task = MakeTask(2, 0.9, 0.9, 1.0);
@@ -342,10 +351,24 @@ TEST(StreamingPolicyTest, CoverableBacklogCountsReachableTasksOnly) {
   StreamingSimulator sim(config, &quality);
   auto assigner = CreateAssigner(AssignerKind::kGreedy);
   const auto summary = sim.Run(std::move(queue), assigner.get());
-  ASSERT_TRUE(summary.ok()) << summary.status();
-  ASSERT_EQ(summary.value().per_epoch.size(), 1u);
-  EXPECT_EQ(summary.value().per_epoch[0].backlog_before, 2);
-  EXPECT_EQ(summary.value().per_epoch[0].coverable_backlog, 1);
+  EXPECT_TRUE(summary.ok()) << summary.status();
+  EXPECT_EQ(summary.value().per_epoch.size(), 1u);
+  return summary.value().per_epoch.at(0);
+}
+
+TEST(StreamingPolicyTest, CoverableBacklogCountsReachableTasksOnly) {
+  const EpochStreamMetrics epoch = NearAndFarTaskEpoch(false);
+  EXPECT_EQ(epoch.backlog_before, 2);
+  EXPECT_EQ(epoch.coverable_backlog, 1);
+}
+
+// A worker with v = 0 reaches nothing, not even a task at distance 0:
+// CanReach rejects velocity <= 0, so no assigner can ever give it the
+// task it stands on.
+TEST(StreamingPolicyTest, ImmobileWorkerCoversNoTask) {
+  const EpochStreamMetrics epoch = NearAndFarTaskEpoch(true);
+  EXPECT_EQ(epoch.backlog_before, 2);
+  EXPECT_EQ(epoch.coverable_backlog, 1);
 }
 
 // --- Watermark / late-event semantics --------------------------------------

@@ -58,7 +58,6 @@ std::vector<uint64_t> StreamChecksums(EventQueue queue, double horizon,
                                       IndexBackend backend) {
   StreamingConfig config;
   config.sim = PropertySimConfig();
-  config.sim.maintain_worker_index = true;
   config.sim.num_threads = threads;
   config.sim.index_backend = backend;
   config.policy.kind = EpochPolicyKind::kPerInstance;
